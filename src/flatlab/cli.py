@@ -19,31 +19,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import BadPrime, DegreeTooSmall, FlatlabError
+from .errors import BadPrime, DegreeTooSmall, FlatlabError, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, rational_roots, reduce_mod_p
-from .dynamics import (
-    CriticalDatum,
-    INFINITY,
-    OrbitGraph,
-    P1Point,
-    p1_eval,
-    point_key,
-    postcritical_graph,
-    ram_index,
-)
-from .orbifold import MU_INFINITY, mu_compute, orbifold_data, parabolic_signature
+from .dynamics import CriticalDatum, INFINITY, P1Point, _escape_bits, _orbit_graph, postcritical_graph, ram_index
+from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import SearchBounds, TupleForm, form_pullback, invariance_check, invariant_search
 from . import atlas
-
-_SIGNATURE_HINTS = {
-    (MU_INFINITY, MU_INFINITY): "power-like",
-    (2, 2, MU_INFINITY): "chebyshev-like",
-    (2, 2, 2, 2): "lattes-like",
-    (3, 3, 3): "lattes-like",
-    (2, 4, 4): "lattes-like",
-    (2, 3, 6): "lattes-like",
-}
 
 VERDICT_EXIT = {"flat-candidate": 0, "not-flat": 1, "inconclusive": 2}
 USAGE_EXIT = 3
@@ -122,45 +104,21 @@ def _prime_worker(args):
 
 def _char0_report(sigma):
     """Best-effort orbifold over Q: only when the critical points are
-    rational and every critical orbit cycles within 64 steps."""
+    rational and every critical orbit closes.  A walk stops as unsupported
+    after 64 new points, or past _escape_bits(sigma), where no orbit closes."""
     n, d = sigma.num, sigma.den
-    wron = n.derivative() * d - n * d.derivative()
-    if wron.is_zero:
-        return {"supported": False, "reason": "inseparable"}
+    wron = n.derivative() * d - n * d.derivative()  # nonzero: deg sigma >= 2
     roots = rational_roots(wron)
     if sum(m for _, m in roots) != wron.degree:
         return {"supported": False, "reason": "critical points are not all rational"}
-    crit_pts = [P1Point(r) for r, _ in roots]
+    crits = [CriticalDatum(P1Point(r), ram_index(sigma, P1Point(r))) for r, _ in roots]
     e_inf = ram_index(sigma, INFINITY)
     if e_inf >= 2:
-        crit_pts.append(INFINITY)
-    edges = {}
-    for pt in crit_pts:
-        v = pt
-        steps = 0
-        while v not in edges:
-            steps += 1
-            if steps > 64:
-                return {"supported": False, "reason": "a critical orbit does not close within 64 steps"}
-            nxt = p1_eval(sigma, v)
-            edges[v] = nxt
-            v = nxt
-    weights = {v: ram_index(sigma, v) for v in edges}
-    postcritical = set()
-    for pt in crit_pts:
-        v = edges[pt]
-        while v not in postcritical:
-            postcritical.add(v)
-            v = edges[v]
-    graph = OrbitGraph(
-        sigma=sigma,
-        field=sigma.field,
-        vertices=tuple(sorted(edges, key=point_key)),
-        edges=edges,
-        weights=weights,
-        critical=tuple(CriticalDatum(pt, weights[pt]) for pt in crit_pts),
-        postcritical=frozenset(postcritical),
-    )
+        crits.append(CriticalDatum(INFINITY, e_inf))
+    try:
+        graph = _orbit_graph(sigma, crits, max_steps=64, max_bits=_escape_bits(sigma))
+    except OrbitBoundExceeded as exc:
+        return {"supported": False, "reason": str(exc)}
     data = orbifold_data(graph)
     sig_res = parabolic_signature(data)
     return {
@@ -197,11 +155,8 @@ def run_classify(expr, prime_min, prime_max, policy="fermat", max_pole=None,
         label = "inconclusive"
     hints = []
     if label == "flat-candidate":
-        seen = set()
-        for r in chi_zero:
-            key = tuple(MU_INFINITY if s == "inf" else s for s in r["signature"])
-            seen.add(_SIGNATURE_HINTS.get(key, "unrecognized"))
-        hints = sorted(seen - {"unrecognized"})
+        sigs = {tuple(MU_INFINITY if s == "inf" else s for s in r["signature"]) for r in chi_zero}
+        hints = sorted({PARABOLIC_SIGNATURES[s] for s in sigs})
     counts = {
         "good": len(good),
         "bad": len(prime_reports) - len(good),

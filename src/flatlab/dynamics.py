@@ -6,6 +6,11 @@ The critical locus is located by factoring the Wronskian numerator
 W = P'Q - PQ' and collecting its roots inside one extension F_{p^k}
 (k = lcm of the irreducible factor degrees); forward orbits stay inside
 that extension because the map has prime-field coefficients.
+
+Orbit-graph weights are read from the critical data: e at a critical point,
+1 elsewhere.  This is exact because the data hold every ramified point:
+critical_locus asserts the Riemann-Hurwitz total sum(e - 1) = 2 deg - 2,
+and over Q the caller requires the Wronskian to split over Q.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadCharacteristic, Inseparable, WildRamification
+from .errors import BadCharacteristic, Inseparable, OrbitBoundExceeded, WildRamification
 from .exactnum import FFElem, field_create
-from .ratfunc import Poly, RatFunc, poly_factor, poly_roots, valuation_at_zero
+from .ratfunc import Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, valuation_at_zero
 
 
 class P1Point:
@@ -25,10 +30,6 @@ class P1Point:
 
     def __init__(self, value):
         self.value = value
-
-    @classmethod
-    def of(cls, value):
-        return cls(value)
 
     @property
     def is_infinity(self):
@@ -163,9 +164,11 @@ class OrbitGraph:
     """Forward orbits of the critical points as a weighted functional graph.
 
     vertices: critical points and all their forward images, sorted;
-    edges: vertex -> sigma(vertex); weights: vertex -> ramification index;
-    postcritical: vertices reachable by at least one edge from a critical
-    vertex.  sigma and field are the lifted map and its extension field.
+    edges: vertex -> sigma(vertex); weights: vertex -> ramification index,
+    which is e at a critical point and 1 elsewhere (the critical data hold
+    every ramified point, by Riemann-Hurwitz); postcritical: vertices
+    reachable by at least one edge from a critical vertex.  sigma and field
+    are the lifted map and its extension field.
     """
 
     sigma: RatFunc
@@ -177,31 +180,63 @@ class OrbitGraph:
     postcritical: frozenset
 
 
-def postcritical_graph(sigma: RatFunc) -> OrbitGraph:
-    """Critical points plus their forward orbits, weights, and marks."""
-    ext, crits = critical_locus(sigma)
-    sig = sigma.lift_to(ext)
+def _escape_bits(sigma):
+    """Bit length past which a point of P^1(Q) is not preperiodic under sigma.
+
+    For sigma = F/G, coprime integer forms of degree d with coefficients at
+    most H, the Sylvester cofactors and Hadamard's bound give
+    h(sigma(P)) >= d h(P) - log c with c = 2d (d+1)^d H^(2d-1).  So past
+    h(P) = log c / (d - 1) the height grows strictly along the orbit of P.
+    """
+    num, den = _primitive_integer_pair(sigma)
+    d = sigma.degree
+    c = 2 * d * (d + 1) ** d * max(map(abs, num + den)) ** (2 * d - 1)
+    return -(-c.bit_length() // (d - 1)) + 1
+
+
+def _orbit_graph(sigma: RatFunc, crits, max_steps=None, max_bits=None) -> OrbitGraph:
+    """The orbit graph of sigma from its complete critical data crits.
+
+    Over Q, a critical orbit that adds more than max_steps vertices, or
+    passes the escape height of max_bits bits (numerator or denominator),
+    raises OrbitBoundExceeded.  Orbits in P^1(F_q) always close.
+    """
     edges = {}
     for c in crits:
         v = c.point
+        steps = 0
         while v not in edges:
-            nxt = p1_eval(sig, v)
+            steps += 1
+            if max_steps is not None and steps > max_steps:
+                raise OrbitBoundExceeded(f"a critical orbit does not close within {max_steps} steps")
+            nxt = p1_eval(sigma, v)
+            if max_bits is not None and not nxt.is_infinity:
+                size = max(abs(nxt.value.numerator), nxt.value.denominator)
+                if size.bit_length() > max_bits:
+                    raise OrbitBoundExceeded(
+                        f"a critical orbit never closes: it passes the escape height of {max_bits} bits"
+                    )
             edges[v] = nxt
             v = nxt
-    weights = {v: ram_index(sig, v) for v in edges}
+    e_at = {c.point: c.e for c in crits}
     postcritical = set()
     for c in crits:
         v = edges[c.point]
         while v not in postcritical:
             postcritical.add(v)
             v = edges[v]
-    vertices = tuple(sorted(edges, key=point_key))
     return OrbitGraph(
-        sigma=sig,
-        field=ext,
-        vertices=vertices,
+        sigma=sigma,
+        field=sigma.field,
+        vertices=tuple(sorted(edges, key=point_key)),
         edges=edges,
-        weights=weights,
-        critical=crits if isinstance(crits, tuple) else tuple(crits),
+        weights={v: e_at.get(v, 1) for v in edges},
+        critical=tuple(crits),
         postcritical=frozenset(postcritical),
     )
+
+
+def postcritical_graph(sigma: RatFunc) -> OrbitGraph:
+    """Critical points plus their forward orbits, weights, and marks."""
+    ext, crits = critical_locus(sigma)
+    return _orbit_graph(sigma.lift_to(ext), crits)

@@ -50,6 +50,10 @@ class WildRamification(FlatlabError):
     """A ramification index divisible by the characteristic was met."""
 
 
+class OrbitBoundExceeded(FlatlabError):
+    """A critical orbit over Q passed a walk bound; the message says which."""
+
+
 class BadCharacteristic(FlatlabError):
     """The characteristic is too small for the requested operation."""
 

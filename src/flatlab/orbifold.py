@@ -26,14 +26,15 @@ from .ratfunc import poly_factor
 
 MU_INFINITY = math.inf
 
-PARABOLIC_SIGNATURES = (
-    (MU_INFINITY, MU_INFINITY),
-    (2, 2, MU_INFINITY),
-    (2, 2, 2, 2),
-    (3, 3, 3),
-    (2, 4, 4),
-    (2, 3, 6),
-)
+# every signature a chi = 0 orbifold can have, with the flat family it hints at
+PARABOLIC_SIGNATURES = {
+    (MU_INFINITY, MU_INFINITY): "power-like",
+    (2, 2, MU_INFINITY): "chebyshev-like",
+    (2, 2, 2, 2): "lattes-like",
+    (3, 3, 3): "lattes-like",
+    (2, 4, 4): "lattes-like",
+    (2, 3, 6): "lattes-like",
+}
 
 
 def mu_lcm(a, b):

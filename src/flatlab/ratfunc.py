@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .exactnum import Field, FFElem, field_create, is_prime
+from .exactnum import Field, FFElem, _prime_factors, field_create, is_prime
 
 
 class Poly:
@@ -614,10 +614,7 @@ def parse_ratfunc(text: str, field: Field) -> RatFunc:
     Raises ParseError (with position) on malformed input and DivisionByZero
     if the denominator is the zero polynomial.
     """
-    value = _Parser(text, field).parse()
-    if value.den.is_zero:  # unreachable: RatFunc already guards
-        raise DivisionByZero("zero denominator")
-    return value
+    return _Parser(text, field).parse()
 
 
 # ----------------------------------------------------------------------
@@ -757,25 +754,11 @@ def poly_is_irreducible(f: Poly) -> bool:
     x = Poly.gen(f.field)
     if not (_poly_powmod(x, q ** n, f) - x % f).is_zero:
         return False
-    for ell in set(_prime_factors_int(n)):
+    for ell in _prime_factors(n):
         g = _poly_powmod(x, q ** (n // ell), f) - x % f
         if poly_gcd(f, g).degree != 0:
             return False
     return True
-
-
-def _prime_factors_int(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def poly_roots(f: Poly, seed: int = 0):
@@ -817,7 +800,7 @@ def rational_roots(f: Poly):
         f = f // t ** v
     if f.degree < 1:
         return out
-    ints = _clear_denominators(f)
+    ints, _ = _primitive_integer_pair(RatFunc(f))  # a primitive integer multiple of f
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
         for den in _divisors(an):
@@ -842,14 +825,6 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _clear_denominators(f):
-    """Integer coefficient list of f scaled by the lcm of denominators."""
-    L = 1
-    for c in f.coeffs:
-        L = L * c.denominator // math.gcd(L, c.denominator)
-    return [int(c * L) for c in f.coeffs]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import time
+from fractions import Fraction
 
 from conftest import lattes_expr
 
-from flatlab.cli import main, run_classify
+from flatlab import P1Point, p1_eval, parse_ratfunc, rationals
+from flatlab.cli import _char0_report, main, run_classify
+from flatlab.dynamics import _escape_bits
 
 
 def run(capsys, *argv):
@@ -106,6 +110,40 @@ def test_classify_char0(capsys):
                        "--min-good", "5")
     assert code == 0
     assert "unsupported over Q" in out
+
+
+def test_char0_wandering_orbit_stops():
+    # over Q a critical orbit wanders, e.g. 0 -> 1 -> 2 -> 5 -> 26 -> ... under t^2+1
+    for expr in ("t^2+1", "(t^2+1)/t"):
+        start = time.process_time()
+        c0 = _char0_report(parse_ratfunc(expr, rationals()))
+        assert time.process_time() - start < 1
+        assert c0["supported"] is False
+        assert c0["reason"].startswith("a critical orbit never closes")
+
+
+def test_escape_bits_bound_is_an_escape_height():
+    def size(pt):  # max(|numerator|, denominator) of a point of P^1(Q)
+        return 1 if pt.is_infinity else max(abs(pt.value.numerator), pt.value.denominator)
+
+    for expr in ("t^2+1", "(t^2+1)/t", "t^2-2", "1/t^2", "(2*t^3-t)/(3*t^2+5)", "t^3/7-t+1/2"):
+        sigma = parse_ratfunc(expr, rationals())
+        bits = _escape_bits(sigma)
+        lo = 2 ** bits
+        for a in range(lo - 40, lo + 40):
+            for b in (1, 3, lo - 1, lo + 1, 2 * lo + 1):
+                P = P1Point(Fraction(a, b))
+                if size(P).bit_length() > bits:
+                    # past the escape height, the height grows along the orbit
+                    assert size(p1_eval(sigma, P)) > size(P)
+    # closed orbits of large height stay below it: a fixed point 10^6 and,
+    # for the conjugate k t^2 - 2/k of t^2-2 with k = 10^6, the critical
+    # orbit 0 -> -2/k -> 2/k -> 2/k
+    sigma = parse_ratfunc("10^18/t^2", rationals())
+    assert p1_eval(sigma, P1Point(Fraction(10**6))) == P1Point(Fraction(10**6))
+    assert (10**6).bit_length() <= _escape_bits(sigma)
+    c0 = _char0_report(parse_ratfunc("1000000*t^2-1/500000", rationals()))
+    assert c0["supported"] and c0["signature"] == [2, 2, "inf"]
 
 
 def test_classify_degree_too_small(capsys):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import preimages, random_separable_map
+from conftest import lattes_expr, preimages, random_separable_map
+
+from flatlab import cli
 
 from flatlab import (
     INFINITY,
@@ -187,12 +189,33 @@ def test_graph_cycle():
     assert g.postcritical == {pt(F5, 0), pt(F5, 1), pt(F5, 2), INFINITY}
 
 
-def test_graph_functional_and_closed():
-    for expr, field in [("t^2-2", F7), ("t^2+1", F5), ("t^3+t+1", F5), ("(t^2+1)/t", F7)]:
-        g = postcritical_graph(parse_ratfunc(expr, field))
+def _char0_graph(expr, monkeypatch):
+    """The orbit graph that classify --char0 builds over Q."""
+    graphs = []
+    real = cli.orbifold_data
+    monkeypatch.setattr(cli, "orbifold_data", lambda g: graphs.append(g) or real(g))
+    assert cli._char0_report(parse_ratfunc(expr, rationals()))["supported"]
+    return graphs[0]
+
+
+def test_graph_functional_and_closed(monkeypatch):
+    graphs = [
+        postcritical_graph(parse_ratfunc(expr, field))
+        for expr, field in [
+            ("t^2-2", F7),
+            ("t^2+1", F5),
+            ("t^3+t+1", F5),  # critical points in F(5^2)
+            ("(t^2+1)/t", F7),
+            ("(t^2+1)/t", field_create(11)),
+            (lattes_expr(), field_create(13)),  # critical points in F(13^2)
+        ]
+    ]
+    graphs += [_char0_graph(expr, monkeypatch) for expr in ("t^2-2", "t^2-1")]
+    assert graphs[2].field.k == graphs[5].field.k == 2
+    for g in graphs:
         for v in g.vertices:
             assert g.edges[v] in g.edges  # closed under the edge map
-            assert g.weights[v] >= 1
+            assert g.weights[v] == ram_index(g.sigma, v)  # read off the critical locus
         reachable = set()
         for c in g.critical:
             v = g.edges[c.point]

@@ -1,0 +1,36 @@
+"""Golden reports: the CLI's JSON output must stay byte-identical.
+
+The fixtures under tests/golden/ were captured from `flatlab ... --json`;
+regenerate one only when a change means to alter the report, and say why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from flatlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+LATTES = "(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)"
+
+CASES = {
+    "classify-t2-char0": ["classify", "t^2", "--primes", "5..30", "--char0"],
+    "classify-inv-t2-char0": ["classify", "1/t^2", "--primes", "5..30", "--char0"],
+    "classify-cheb2-char0": ["classify", "t^2-2", "--primes", "5..30", "--char0"],
+    "classify-cheb3-char0": ["classify", "t^3-3*t", "--primes", "5..30", "--char0"],
+    "classify-t2m1-char0": ["classify", "t^2-1", "--primes", "5..30", "--char0"],
+    "classify-t3t1-char0": ["classify", "t^3+t+1", "--primes", "5..30", "--char0"],
+    "classify-t2p1": ["classify", "t^2+1", "--primes", "5..30"],
+    "classify-t2p1-over-t": ["classify", "(t^2+1)/t", "--primes", "5..30"],
+    "classify-lattes-char0": ["classify", LATTES, "--primes", "11..30", "--char0"],
+    "orbifold-t3t1-p5": ["orbifold", "t^3+t+1", "--p", "5"],
+    "orbifold-t3t1-p7": ["orbifold", "t^3+t+1", "--p", "7"],
+    "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],
+    "orbifold-lattes-p13": ["orbifold", LATTES, "--p", "13"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, capsys):
+    main(CASES[name] + ["--json"])
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
