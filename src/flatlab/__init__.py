@@ -49,7 +49,6 @@ from .orbifold import (
 )
 from .forms import (
     InvarianceResult,
-    SearchBounds,
     TupleForm,
     form_mul,
     form_ord,

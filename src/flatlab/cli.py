@@ -24,7 +24,7 @@ from .exactnum import field_create, is_prime, rationals
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, rational_roots, reduce_mod_p
 from .dynamics import CriticalDatum, INFINITY, P1Point, _escape_bits, _orbit_graph, postcritical_graph, ram_index
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
-from .forms import SearchBounds, TupleForm, form_pullback, invariance_check, invariant_search
+from .forms import TupleForm, form_pullback, invariance_check, invariant_search
 from . import atlas
 
 VERDICT_EXIT = {"flat-candidate": 0, "not-flat": 1, "inconclusive": 2}
@@ -43,21 +43,9 @@ def _weights_for(policy, p):
     return [w for w in policy if w % p != 0]
 
 
-def _auto_pole_caps(mu_map, weight):
-    caps = {}
-    for pt, m in mu_map.items():
-        if pt.is_infinity:
-            continue
-        if m == MU_INFINITY:
-            caps[pt] = weight
-        else:
-            caps[pt] = weight - (-(-weight // m))
-    return caps
-
-
 def _prime_worker(args):
     """Analyze one prime; pure function of its arguments (safe to fan out)."""
-    expr, p, policy, max_pole, want_timings = args
+    expr, p, policy, want_timings = args
     sigma = parse_ratfunc(expr, rationals())
     report = {"p": p, "good": False}
     timings = {}
@@ -86,11 +74,7 @@ def _prime_worker(args):
     # the genus dichotomy), so the search can only succeed when chi = 0
     if data.chi == 0:
         for weight in _weights_for(policy, p):
-            if max_pole is None:
-                bounds = SearchBounds(pole_caps=_auto_pole_caps(mu, weight))
-            else:
-                bounds = SearchBounds(max_pole_order=max_pole)
-            for form in invariant_search(sig_p, weight, graph=graph, bounds=bounds):
+            for form in invariant_search(sig_p, weight, data):
                 forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
     timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 
@@ -129,14 +113,14 @@ def _char0_report(sigma):
     }
 
 
-def run_classify(expr, prime_min, prime_max, policy="fermat", max_pole=None,
-                 jobs=1, min_good=8, char0=False, timings=False):
+def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8,
+                 char0=False, timings=False):
     """The classification sweep; returns the full report dict."""
     sigma = parse_ratfunc(expr, rationals())
     if sigma.degree < 2:
         raise DegreeTooSmall(f"degree {sigma.degree} < 2")
     primes = [p for p in range(max(prime_min, 2), prime_max + 1) if is_prime(p)]
-    worker_args = [(expr, p, policy, max_pole, timings) for p in primes]
+    worker_args = [(expr, p, policy, timings) for p in primes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             prime_reports = list(pool.map(_prime_worker, worker_args))
@@ -233,7 +217,6 @@ def cmd_classify(args):
         pmin,
         pmax,
         policy=policy,
-        max_pole=args.max_pole_order,
         jobs=args.jobs,
         min_good=args.min_good,
         char0=args.char0,
@@ -376,8 +359,6 @@ def _build_parser():
     c.add_argument("expr")
     c.add_argument("--primes", default="5..50", help="prime range MIN..MAX (default 5..50)")
     c.add_argument("--weights", default="fermat", help="'fermat' (= p-1), 'none', or a comma list")
-    c.add_argument("--max-pole-order", type=int, default=None,
-                   help="uniform pole-order cap (default: orbifold-informed caps)")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--min-good", type=int, default=8, help="good primes needed for flat-candidate")
     c.add_argument("--json", action="store_true")

@@ -80,7 +80,3 @@ class DegreeTooSmall(FlatlabError):
 
 class IdentityCheckFailed(FlatlabError):
     """An internal closed-form identity failed; indicates a bug."""
-
-
-class BoundsTooSmall(UserWarning):
-    """Advisory: the search bounds cannot accommodate any solution."""

@@ -9,18 +9,12 @@ a nonzero constant lambda.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    BadWeight,
-    BoundsTooSmall,
-    FieldMismatch,
-    Inseparable,
-    NotSemiInvariant,
-)
+from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import _gf_add, _gf_mul, _gf_sub, _gf_trim, mat_kernel
-from .dynamics import P1Point, postcritical_graph, point_key
+from .dynamics import INFINITY, P1Point, postcritical_graph
+from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _poly_pth_root, root_multiplicity
 
 
@@ -150,65 +144,60 @@ def weight_reduce(sigma: RatFunc, omega: TupleForm, lam) -> TupleForm:
 # Linear search for invariant forms
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Bounds for the invariant-form search.
-
-    max_pole_order: cap on the pole order at each finite postcritical point
-    (None means the weight).  max_num_degree: cap on the numerator degree
-    (None means the degree of the assembled denominator).  pole_caps: an
-    optional per-point refinement {P1Point: cap}; conjugate points share
-    the minimum cap so denominators stay defined over F_p.
-    """
-
-    max_pole_order: int | None = None
-    max_num_degree: int | None = None
-    pole_caps: dict | None = None
+def _pole_cap(mu, weight):
+    """Largest pole order an invariant form of this weight can have at a
+    point of orbifold weight mu: ord >= -weight (1 - 1/mu)."""
+    return weight if mu == MU_INFINITY else weight - -(-weight // mu)
 
 
-def _pole_orbits(graph, field):
+def _pole_orbits(orbifold, p):
     """Finite postcritical points grouped into Frobenius orbits.
 
-    Returns [(minimal polynomial over F_p as int tuple, [points...])],
+    Returns [(minimal polynomial over F_p as int tuple, [mu of each point])],
     sorted by polynomial; the postcritical set of a map with prime-field
     coefficients is Frobenius-stable, so orbits never leave it.
     """
-    p = field.p
-    finite = sorted((pt for pt in graph.postcritical if not pt.is_infinity), key=point_key)
+    mu_of = dict(orbifold.postcritical)
     seen = set()
     orbits = []
-    for pt in finite:
-        if pt in seen:
+    for pt, _ in orbifold.postcritical:
+        if pt.is_infinity or pt in seen:
             continue
         orbit = [pt]
         seen.add(pt)
         nxt = P1Point(pt.value ** p)
         while nxt != pt:
-            if nxt not in graph.postcritical:
+            if nxt not in mu_of:
                 raise RuntimeError("postcritical set is not Frobenius-stable")
             orbit.append(nxt)
             seen.add(nxt)
             nxt = P1Point(nxt.value ** p)
-        orbits.append((pt.value.min_poly(), orbit))
+        orbits.append((pt.value.min_poly(), [mu_of[q] for q in orbit]))
     orbits.sort(key=lambda item: (len(item[0]), item[0]))
     return orbits
 
 
-def invariant_search(sigma: RatFunc, weight: int, graph=None, bounds=None):
-    """Basis of invariant forms of the given positive weight within bounds.
+def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
+    """Invariant forms of the given positive weight: [] or one form.
 
-    Candidate denominators are products of the minimal polynomials of the
-    finite postcritical points, with pole order up to the bound at each
-    point (poles at infinity come for free out of the degree slack).  The
-    invariance equation f(sigma) (sigma')^weight = f with f = g/h becomes,
-    after clearing denominators, a linear system in the coefficients of g,
-    solved exactly with mat_kernel.  Taking every candidate pole at its
-    maximal order subsumes all smaller pole profiles, so one kernel solve
-    per weight captures the whole bounded solution space.
+    The bounds come from the orbifold (computed when omitted): an invariant
+    omega = f (dt)^weight has ord_A(omega) >= -weight (1 - 1/mu(A)) at every
+    point A of P^1, infinity included.  No invariant form is lost: when
+    sigma(B) = A with local degree e, ord_B(sigma^* omega) = e ord_A(omega)
+    + weight (e - 1), so ord + weight is multiplied by e at each backward
+    step; a backward chain from A reaches a point off the divisor of omega,
+    where ord + weight = weight, through a ramification product E dividing
+    mu(A), so ord_A(omega) + weight = weight / E >= weight / mu(A) (and a
+    pole above the weight would spread to infinitely many points).  Hence
+    f = g/h with h the product over finite postcritical Frobenius orbits of
+    the minimal polynomial to the power weight - ceil(weight/mu) (weight
+    when mu = inf), and deg g <= deg h - 2 weight + cap(inf), the same cap
+    at infinity (0 when infinity is not postcritical).
 
-    Returns canonicalized forms (numerator scaled monic), sorted; every
-    returned form passes invariance_check with lambda = 1.  When nothing is
-    found under user-shrunk pole bounds a BoundsTooSmall warning is issued.
+    Returns [] when that numerator bound is negative.  Two invariant forms
+    of one weight differ by an invariant function, which is constant, so
+    at most one form comes back: canonicalized (numerator monic) and
+    rechecked with invariance_check.
     """
     field = sigma.field
     if field.is_rationals or field.k != 1:
@@ -220,37 +209,38 @@ def invariant_search(sigma: RatFunc, weight: int, graph=None, bounds=None):
         raise BadWeight(f"weight {weight} is divisible by p = {p}; reduce the weight first")
     if sigma.degree < 2:
         raise ValueError("search needs degree >= 2")
-    if graph is None:
-        graph = postcritical_graph(sigma)
-    if bounds is None:
-        bounds = SearchBounds()
-    maxpole = bounds.max_pole_order if bounds.max_pole_order is not None else weight
-
-    # assemble the maximal denominator h over F_p
+    if orbifold is None:
+        orbifold = orbifold_data(postcritical_graph(sigma))
     h_int = [1]
-    for minpoly, orbit in _pole_orbits(graph, field):
-        cap = maxpole
-        if bounds.pole_caps is not None:
-            cap = min(cap, min(bounds.pole_caps.get(pt, maxpole) for pt in orbit))
-        for _ in range(cap):
+    for minpoly, mus in _pole_orbits(orbifold, p):
+        for _ in range(min(_pole_cap(m, weight) for m in mus)):
             h_int = _gf_mul(h_int, list(minpoly), p)
-    deg_h = len(h_int) - 1
-    deg_g = bounds.max_num_degree if bounds.max_num_degree is not None else deg_h
+    cap_inf = _pole_cap(dict(orbifold.postcritical).get(INFINITY, 1), weight)
+    deg_g = len(h_int) - 1 - 2 * weight + cap_inf
+    if deg_g < 0:
+        return []
+    return _solve(sigma, weight, h_int, deg_g)
 
+
+def _solve(sigma, weight, h_int, deg_g):
+    """Invariant forms g/h (dt)^weight with h = h_int and deg g <= deg_g,
+    where deg_g >= deg h - 2 weight.
+
+    The invariance equation f(sigma) (sigma')^weight = f with f = g/h
+    becomes, after clearing denominators, a linear system in the
+    coefficients of g, solved exactly with mat_kernel.
+    """
+    field = sigma.field
+    p = field.p
+    deg_h = len(h_int) - 1
     P = [c.coeffs[0] for c in sigma.num.coeffs]
     Q = [c.coeffs[0] for c in sigma.den.coeffs]
     W = _gf_sub(_gf_mul(_gf_deriv(P, p), Q, p), _gf_mul(P, _gf_deriv(Q, p), p), p)
 
     # LHS column i: P^i Q^(deg_g - i) W^weight h ; RHS: t^i Hhat Q^(deg_g + 2 weight - deg_h)
     hhat = _hom_eval(h_int, P, Q, deg_h, p)
-    q_exp = deg_g + 2 * weight - deg_h
-    lhs_extra, rhs_extra = ([1], [1])
-    if q_exp >= 0:
-        rhs_extra = _gf_pow_int(Q, q_exp, p)
-    else:
-        lhs_extra = _gf_pow_int(Q, -q_exp, p)
-    rhs_base = _gf_mul(hhat, rhs_extra, p)
-    t_base = _gf_mul(_gf_mul(_gf_pow_int(W, weight, p), h_int, p), lhs_extra, p)
+    rhs_base = _gf_mul(hhat, _gf_pow_int(Q, deg_g + 2 * weight - deg_h, p), p)
+    t_base = _gf_mul(_gf_pow_int(W, weight, p), h_int, p)
     qt = [t_base]
     for _ in range(deg_g):
         qt.append(_gf_mul(qt[-1], Q, p))
@@ -270,40 +260,17 @@ def invariant_search(sigma: RatFunc, weight: int, graph=None, bounds=None):
         for r, c in enumerate(rhs_base):
             matrix[r + i][i] = (matrix[r + i][i] - c) % p
 
-    h_poly = Poly(field, h_int)
+    kernel = mat_kernel(matrix, field)
+    if len(kernel) > 1:
+        raise RuntimeError("invariant forms of one weight span more than a line (internal)")
     forms = []
-    for vec in mat_kernel(matrix, field):
-        g = Poly(field, vec)
-        f = RatFunc(g, h_poly)
-        f = f / RatFunc.from_const(field, f.num.lc())
-        form = TupleForm(f, weight)
+    for vec in kernel:
+        f = RatFunc(Poly(field, vec), Poly(field, h_int))
+        form = TupleForm(f / RatFunc.from_const(field, f.num.lc()), weight)
         if not invariance_check(sigma, form).invariant:
             raise RuntimeError("search produced a non-invariant form (internal)")
         forms.append(form)
-    seen = set()
-    unique = []
-    for form in sorted(forms, key=_form_key):
-        key = (form.func.num, form.func.den, form.weight)
-        if key not in seen:
-            seen.add(key)
-            unique.append(form)
-    if not unique and bounds.max_pole_order is not None and bounds.max_pole_order < weight:
-        warnings.warn(
-            f"no invariant form within max pole order {bounds.max_pole_order} < weight "
-            f"{weight}; the known flat families need pole order up to the weight",
-            BoundsTooSmall,
-        )
-    return unique
-
-
-def _form_key(form):
-    return (
-        form.weight,
-        form.func.den.degree,
-        tuple(c.coeffs for c in form.func.den.coeffs),
-        form.func.num.degree,
-        tuple(c.coeffs for c in form.func.num.coeffs),
-    )
+    return forms
 
 
 def _gf_deriv(a, p):

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import BadWeight, FieldMismatch, WeightDivisibleByP
 from .dynamics import OrbitGraph, point_key
-from .forms import TupleForm
 from .ratfunc import poly_factor
 
 MU_INFINITY = math.inf
@@ -123,9 +122,9 @@ class KummerCover:
     genus: int
 
 
-def kummer_genus(omega: TupleForm) -> KummerCover:
+def kummer_genus(omega) -> KummerCover:
     """Degree and genus of the cyclic cover of P^1 given by adjoining
-    f^(1/weight).
+    f^(1/weight) for a TupleForm omega = f (dt)^weight.
 
     The divisor of f is read off the factorizations of numerator and
     denominator (conjugate points share one order, so only factor degrees

@@ -10,6 +10,7 @@ over Q modulo a prime with good-prime detection.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -787,7 +788,17 @@ def poly_roots(f: Poly, seed: int = 0):
 
 
 def rational_roots(f: Poly):
-    """Rational roots with multiplicity of a nonzero polynomial over Q."""
+    """Rational roots with multiplicity of a nonzero polynomial over Q.
+
+    Past the root 0, the roots are those of the squarefree part s, taken as
+    a primitive integer polynomial.  At a prime p not dividing its leading
+    coefficient s_n where every root of s mod p is simple, each rational
+    root u/w (u | s_0, w | s_n) is the Hensel lift of its residue, and
+    s_n u/w is an integer of absolute value at most |s_0 s_n|; so lifting
+    past 2 |s_0 s_n| recovers it exactly.  Each candidate is confirmed with
+    root_multiplicity.  The cost is polynomial in the coefficients' bit
+    length, since fewer than log2 |s_n disc(s)| primes are skipped.
+    """
     if f.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if not f.field.is_rationals:
@@ -800,31 +811,31 @@ def rational_roots(f: Poly):
         f = f // t ** v
     if f.degree < 1:
         return out
-    ints, _ = _primitive_integer_pair(RatFunc(f))  # a primitive integer multiple of f
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                m = root_multiplicity(f, cand)
-                if m:
-                    out.append((cand, m))
-    # dedupe (p/q may repeat across divisor pairs)
-    seen = {}
-    for r, m in out:
-        seen[r] = m
-    return sorted(seen.items())
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    s, _ = _primitive_integer_pair(RatFunc(f // poly_gcd(f, f.derivative())))
+    ds = [i * c for i, c in enumerate(s)][1:]
+    for p in itertools.count(2):
+        if is_prime(p) and s[-1] % p:
+            residues = poly_roots(Poly(field_create(p), s))
+            if all(m == 1 for _, m in residues):
+                break
+    for r, _ in residues:
+        r, mod = r.coeffs[0], p
+        while mod <= 2 * abs(s[0] * s[-1]):
+            mod *= mod  # Newton step: a simple root mod m lifts to one mod m^2
+            r = (r - _eval_mod(s, r, mod) * pow(_eval_mod(ds, r, mod), -1, mod)) % mod
+        z = s[-1] * r % mod
+        cand = Fraction(z - mod if 2 * z > mod else z, s[-1])
+        m = root_multiplicity(f, cand)
+        if m:
+            out.append((cand, m))
     return sorted(out)
+
+
+def _eval_mod(a, x, mod):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_char0_wandering_orbit_stops():
         assert c0["reason"].startswith("a critical orbit never closes")
 
 
+def test_char0_large_constant_term_stops():
+    # Wronskians t^2 - 10^18 and t^2 - q (q = 2^61 - 1, prime): the roots
+    # +-10^9 are found and their orbits wander; +-sqrt(q) are irrational
+    reasons = {
+        "(t^2+10^18)/t": "a critical orbit never closes",
+        f"(t^2+{2 ** 61 - 1})/t": "critical points are not all rational",
+    }
+    for expr, reason in reasons.items():
+        start = time.process_time()
+        c0 = _char0_report(parse_ratfunc(expr, rationals()))
+        assert time.process_time() - start < 2
+        assert c0["supported"] is False
+        assert c0["reason"].startswith(reason)
+
+
 def test_escape_bits_bound_is_an_escape_height():
     def size(pt):  # max(|numerator|, denominator) of a point of P^1(Q)
         return 1 if pt.is_infinity else max(abs(pt.value.numerator), pt.value.denominator)

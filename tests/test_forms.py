@@ -1,5 +1,4 @@
 import random
-import warnings
 
 import pytest
 
@@ -10,7 +9,6 @@ from flatlab import (
     P1Point,
     Poly,
     RatFunc,
-    SearchBounds,
     TupleForm,
     field_create,
     form_mul,
@@ -21,12 +19,16 @@ from flatlab import (
     invariant_search,
     p1_eval,
     parse_ratfunc,
+    orbifold_data,
     postcritical_graph,
+    reduce_mod_p,
     ram_index,
     rationals,
     weight_reduce,
 )
-from flatlab.errors import BadWeight, BoundsTooSmall, Inseparable, NotSemiInvariant
+from flatlab.errors import BadPrime, BadWeight, Inseparable, NotSemiInvariant
+from flatlab.exactnum import _gf_mul
+from flatlab.forms import _pole_orbits, _solve
 
 Q = rationals()
 F5 = field_create(5)
@@ -245,32 +247,6 @@ def test_search_weight_divisible_by_p_rejected():
         invariant_search(parse_ratfunc("t^2", F5), 5)
 
 
-def test_search_bounds_too_small_warns():
-    sig = parse_ratfunc("t^2", F5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = invariant_search(sig, 4, bounds=SearchBounds(max_pole_order=2))
-        assert out == []
-        assert any(issubclass(w.category, BoundsTooSmall) for w in caught)
-
-
-def test_search_with_pole_caps_matches_default():
-    # orbifold-informed caps find the same basis as the default bounds
-    from flatlab import mu_compute
-    from flatlab.orbifold import MU_INFINITY
-
-    sig = parse_ratfunc("t^2-2", F7)
-    graph = postcritical_graph(sig)
-    mu = mu_compute(graph)
-    caps = {}
-    for pt, m in mu.items():
-        if pt.is_infinity:
-            continue
-        caps[pt] = 6 if m == MU_INFINITY else 6 - (-(-6 // m))
-    out = invariant_search(sig, 6, graph=graph, bounds=SearchBounds(pole_caps=caps))
-    assert out == invariant_search(sig, 6)
-
-
 def test_search_extension_postcritical_points():
     # Lattes mod 11: the finite postcritical points 0, +-i with i^2 = -1
     # need a quadratic extension; denominators still come out over F_11
@@ -284,12 +260,47 @@ def test_search_extension_postcritical_points():
     assert out[0].func == expected
 
 
+ORACLE_MAPS = ("t^2", "t^3", "1/t^2", "t^2-2", "-(t^2-2)", "t^3-3*t", "(t^2+1)/t", "t^2-1", "t^3+t+1")
+ORACLE_CURVES = ((1, 0), (0, 1), (-1, 1))  # Lattes m = 2 on y^2 = x^3 + a x + b
+
+
+def _uniform_search(sigma, weight, data):
+    """The search with every pole capped at the weight and deg g = deg h."""
+    p = sigma.field.p
+    h = [1]
+    for minpoly, _ in _pole_orbits(data, p):
+        for _ in range(weight):
+            h = _gf_mul(h, list(minpoly), p)
+    return _solve(sigma, weight, h, len(h) - 1)
+
+
+def test_search_matches_uniform_bounds_oracle():
+    # the orbifold bounds lose no invariant form: at every chi = 0 prime up
+    # to 19 and every weight 1..12 prime to p, the wider uniform search
+    # finds exactly the same forms
+    from flatlab import EllipticCurve, lattes_map
+
+    maps = [parse_ratfunc(e, Q) for e in ORACLE_MAPS]
+    maps += [lattes_map(EllipticCurve(Q, Q.elem(a), Q.elem(b)), 2).sigma for a, b in ORACLE_CURVES]
+    cases = found = 0
+    for sigma in maps:
+        for p in (5, 7, 11, 13, 17, 19):
+            try:
+                sig = reduce_mod_p(sigma, p)
+            except BadPrime:
+                continue
+            data = orbifold_data(postcritical_graph(sig))
+            if data.chi != 0:
+                continue
+            for weight in range(1, 13):
+                if weight % p:
+                    out = invariant_search(sig, weight, data)
+                    assert out == _uniform_search(sig, weight, data), (str(sigma), p, weight)
+                    cases += 1
+                    found += len(out)
+    assert (cases, found) == (622, 84)
+
+
 def test_tuple_form_weight_must_be_nonzero():
     with pytest.raises(ValueError):
         TupleForm(parse_ratfunc("t", Q), 0)
-
-
-def test_search_respects_numerator_degree_bound():
-    sig = parse_ratfunc("t^2", F5)
-    out = invariant_search(sig, 4, bounds=SearchBounds(max_num_degree=0))
-    assert out == [form("1/t^4", 4, F5)]

@@ -15,6 +15,7 @@ from flatlab import (
     reduce_mod_p,
 )
 from flatlab.errors import BadPrime, DivisionByZero, NotMobius, ParseError, ZeroPolynomial
+from flatlab.ratfunc import rational_roots
 
 Q = rationals()
 F5 = field_create(5)
@@ -305,3 +306,32 @@ def test_conjugate_round_trip_and_errors():
         assert back == sig
     with pytest.raises(NotMobius):
         parse_ratfunc("t^2", Q).conjugate(parse_ratfunc("t^2", Q))
+
+
+# ---------------------------------------------------------------- rational roots
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    exprs = [
+        (x - 3) ** 3 * (2 * x + 5) ** 2 * x ** 2 * (x ** 2 + 1),
+        (7 * x - 10 ** 12) ** 2 * (x + 1) * (x ** 2 - 2),
+        (x - 10 ** 9) ** 3 * (x + 10 ** 9) * (3 * x - 2) ** 4,
+        x ** 2 - (2 ** 61 - 1),
+        (x ** 2 - 10 ** 18) * (x ** 3 + x + 1) ** 2,
+        (x - 10 ** 15) * (2 ** 50 * x + 1),  # large integer root, large leading coefficient
+        (x - 3 ** 40) * (5 ** 30 * x - 7) ** 2,
+    ]
+    rng = random.Random(11)
+    for _ in range(12):
+        expr = x ** 2 + rng.randint(1, 2 ** 64)  # no real roots
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randint(1, 2 ** 40), rng.randint(-(2 ** 62), 2 ** 62)
+            expr *= (a * x + b) ** rng.randint(1, 3)
+        exprs.append(expr)
+    for expr in exprs:
+        sp = sympy.Poly(expr, x)
+        f = Poly(Q, [int(c) for c in reversed(sp.all_coeffs())])
+        _, factors = sp.factor_list()
+        want = sorted((Fraction(-int(g.nth(0)), int(g.nth(1))), m) for g, m in factors if g.degree() == 1)
+        assert rational_roots(f) == want, expr
