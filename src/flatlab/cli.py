@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import BadPrime, DegreeTooSmall, FlatlabError, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, rational_roots, reduce_mod_p
-from .dynamics import CriticalDatum, INFINITY, P1Point, _escape_bits, _orbit_graph, postcritical_graph, ram_index
+from .dynamics import _critical_data, _escape_bits, _orbit_graph, postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
 from . import atlas
@@ -45,8 +45,7 @@ def _weights_for(policy, p):
 
 def _prime_worker(args):
     """Analyze one prime; pure function of its arguments (safe to fan out)."""
-    expr, p, policy, want_timings = args
-    sigma = parse_ratfunc(expr, rationals())
+    sigma, p, policy, want_timings = args
     report = {"p": p, "good": False}
     timings = {}
     t0 = time.perf_counter()
@@ -88,17 +87,18 @@ def _prime_worker(args):
 
 def _char0_report(sigma):
     """Best-effort orbifold over Q: only when the critical points are
-    rational and every critical orbit closes.  A walk stops as unsupported
-    after 64 new points, or past _escape_bits(sigma), where no orbit closes."""
+    rational and every critical orbit closes.  The ramification indices are
+    read off the Wronskian W by the mod-p rule, dynamics._critical_data:
+    e = 1 + m at a rational root of multiplicity m, e(inf) = 2 deg - 1 -
+    deg W (ram_index, kept public, is the tests' oracle for them).  A walk
+    stops as unsupported after 64 new points, or past _escape_bits(sigma),
+    where no orbit closes."""
     n, d = sigma.num, sigma.den
     wron = n.derivative() * d - n * d.derivative()  # nonzero: deg sigma >= 2
     roots = rational_roots(wron)
     if sum(m for _, m in roots) != wron.degree:
         return {"supported": False, "reason": "critical points are not all rational"}
-    crits = [CriticalDatum(P1Point(r), ram_index(sigma, P1Point(r))) for r, _ in roots]
-    e_inf = ram_index(sigma, INFINITY)
-    if e_inf >= 2:
-        crits.append(CriticalDatum(INFINITY, e_inf))
+    crits = _critical_data(sigma.degree, wron, roots)
     try:
         graph = _orbit_graph(sigma, crits, max_steps=64, max_bits=_escape_bits(sigma))
     except OrbitBoundExceeded as exc:
@@ -120,7 +120,7 @@ def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8
     if sigma.degree < 2:
         raise DegreeTooSmall(f"degree {sigma.degree} < 2")
     primes = [p for p in range(max(prime_min, 2), prime_max + 1) if is_prime(p)]
-    worker_args = [(expr, p, policy, timings) for p in primes]
+    worker_args = [(sigma, p, policy, timings) for p in primes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             prime_reports = list(pool.map(_prime_worker, worker_args))

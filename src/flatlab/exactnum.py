@@ -456,80 +456,19 @@ def mat_kernel(rows, field):
 
     Deterministic: pivots on the first nonzero entry per column in row
     order (arithmetic is exact, no pivot-magnitude heuristics).  Entries
-    may be field elements or plain ints.  Raises FieldMismatch on ragged
-    or foreign-field input.
+    may be field elements, plain ints or Fractions; every entry is coerced
+    into field, and one elimination serves Q and every F_q.  Raises
+    FieldMismatch on ragged, foreign-field or bad-typed input.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
+    m = [[_as_elem(e, field) for e in r] for r in rows]
+    if not m:
         return []
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
+    ncols = len(m[0])
+    if any(len(r) != ncols for r in m):
         raise FieldMismatch("ragged matrix")
     if ncols == 0:
         return []
-    if not field.is_rationals and field.k == 1:
-        p = field.p
-        m = [[_as_residue(e, field) for e in r] for r in rows]
-        return [[FFElem(field, (c,)) for c in v] for v in _kernel_mod_p(m, p)]
-    m = [[_as_elem(e, field) for e in r] for r in rows]
-    return _kernel_generic(m, field)
-
-
-def _as_residue(e, field):
-    if isinstance(e, FFElem):
-        if e.field != field:
-            raise FieldMismatch("mixed-field matrix entry")
-        return e.coeffs[0]
-    if isinstance(e, int):
-        return e % field.p
-    raise FieldMismatch(f"bad matrix entry {e!r}")
-
-
-def _as_elem(e, field):
-    if isinstance(e, (int, Fraction, FFElem)):
-        return field.elem(e)
-    raise FieldMismatch(f"bad matrix entry {e!r}")
-
-
-def _kernel_mod_p(m, p):
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        prow = m[rank]
-        for r in range(nrows):
-            f = m[r][col]
-            if r != rank and f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free] % p
-        basis.append(v)
-    return basis
-
-
-def _kernel_generic(m, field):
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
     zero, one = field.zero, field.one
     pivots = []
     rank = 0
@@ -543,12 +482,15 @@ def _kernel_generic(m, field):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = one / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        prow = m[rank]
+        prow = m[rank] = [x * inv for x in m[rank]]
+        # the pivot row is zero left of col: only its nonzero entries act
+        support = [j for j in range(col, ncols) if prow[j]]
         for r in range(nrows):
-            f = m[r][col]
+            row = m[r]
+            f = row[col]
             if r != rank and f:
-                m[r] = [x - f * y for x, y in zip(m[r], prow)]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -564,3 +506,9 @@ def _kernel_generic(m, field):
             v[pc] = -m[r][free]
         basis.append(v)
     return basis
+
+
+def _as_elem(e, field):
+    if isinstance(e, (int, Fraction, FFElem)):
+        return field.elem(e)
+    raise FieldMismatch(f"bad matrix entry {e!r}")

@@ -184,6 +184,37 @@ def test_kernel_rank_nullity_and_exactness(field_args):
                 assert not acc
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 0])
+def test_kernel_rank_matches_sympy(p):
+    # oracle: sympy's DomainMatrix rank over GF(p) or QQ; rank-deficient
+    # products A B make most kernels nontrivial
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF, QQ
+
+    field, dom = (field_create(p), GF(p)) if p else (rationals(), QQ)
+    rng = random.Random(41 + p)
+
+    def entry():
+        return rng.randrange(-2 * p, 2 * p) if p else Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+    for _ in range(30):
+        nrows, ncols, inner = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(1, 6)
+        a = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        b = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+        rank = matrices.DomainMatrix([[dom(x) for x in r] for r in rows], (nrows, ncols), dom).rank()
+        basis = mat_kernel(rows, field)
+        assert rank + len(basis) == ncols, rows
+        for v in basis:
+            for r in rows:
+                assert not sum((field.elem(x) * c for x, c in zip(r, v)), field.zero)
+
+
+def test_kernel_bad_entry_rejected():
+    with pytest.raises(FieldMismatch):
+        mat_kernel([[1, 0.5]], field_create(5))
+
+
 def test_kernel_ragged_rejected():
     with pytest.raises(FieldMismatch):
         mat_kernel([[1, 2], [1]], field_create(5))

@@ -269,6 +269,42 @@ def test_factor_inseparable_power():
     assert prod == f
 
 
+def _random_irreducible(rng, field, degree):
+    """A random monic irreducible of degree 1..3: for these degrees,
+    irreducible means no root in the field (checked by enumeration)."""
+    while True:
+        coeffs = [field.elem_from_index(rng.randrange(field.order)) for _ in range(degree)]
+        g = Poly(field, coeffs + [field.one])
+        if degree == 1 or all(g.eval(a) for a in field.elements()):
+            return g
+
+
+@pytest.mark.parametrize("field_args", [(5, 1), (7, 1), (13, 1), (5, 2)])
+def test_factor_multiplicities(field_args):
+    # the critical locus reads ramification indices off these multiplicities
+    field = field_create(*field_args)
+    rng = random.Random(19 + field.order)
+    sympy = pytest.importorskip("sympy") if field.k == 1 else None
+    for _ in range(8):
+        want, count = {}, rng.randrange(1, 5)
+        while len(want) < count:
+            want.setdefault(_random_irreducible(rng, field, rng.randrange(1, 4)), rng.randrange(1, 4))
+        f = Poly.constant(field, field.elem(rng.randrange(1, field.p)))
+        for g, m in want.items():
+            f = f * g ** m
+        assert dict(poly_factor(f)) == want
+        if sympy is not None:
+            x = sympy.Symbol("x")
+            coeffs = [c.coeffs[0] for c in reversed(f.coeffs)]
+            _, got = sympy.Poly(coeffs, x, modulus=field.p).factor_list()
+            monic = {}
+            for g, m in got:
+                cs = [int(c) % field.p for c in g.all_coeffs()]
+                inv = pow(cs[0], -1, field.p)
+                monic[tuple(c * inv % field.p for c in reversed(cs))] = m
+            assert monic == {tuple(c.coeffs[0] for c in g.coeffs): m for g, m in want.items()}
+
+
 def test_factor_zero_rejected():
     with pytest.raises(ZeroPolynomial):
         poly_factor(Poly.zero(F5))
