@@ -209,6 +209,8 @@ def cmd_classify(args):
     else:
         try:
             policy = [int(w) for w in args.weights.split(",")]
+            if min(policy) < 1:
+                raise ValueError("weights must be positive")
         except ValueError:
             print(f"bad weights {args.weights!r}", file=sys.stderr)
             return USAGE_EXIT

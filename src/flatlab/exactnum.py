@@ -1,5 +1,6 @@
 """Exact number kernels: arbitrary-precision rationals, prime fields F_p,
-extensions F_{p^k}, and exact null spaces of dense matrices.
+extensions F_{p^k}, dense F_p polynomials as int residue lists (products by
+Kronecker substitution), and exact null spaces of dense matrices.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced, positive
 denominator).  Finite-field elements are immutable, carry a reference to
@@ -13,6 +14,8 @@ the same field.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime
@@ -62,8 +65,10 @@ def _prime_factors(n):
 
 # ----------------------------------------------------------------------
 # Dense polynomials over F_p as plain int lists, constant term first,
-# no trailing zeros ([] is the zero polynomial).  These back the modulus
-# search, FFElem arithmetic, and the fast prime-field kernel path.
+# no trailing zeros ([] is the zero polynomial), every coefficient in
+# range(p).  This is the one F_p arithmetic path: it backs the modulus
+# search, FFElem arithmetic in extensions, prime-field Poly products,
+# division and gcd, RatFunc.compose over F_p and the invariant-form search.
 # ----------------------------------------------------------------------
 
 def _gf_trim(a):
@@ -93,10 +98,41 @@ def _gf_sub(a, b, p):
     return _gf_trim(out)
 
 
+# Kronecker substitution needs one operand of at least this length to beat
+# the schoolbook loop, whose cost grows with len(a) * len(b) while packing
+# costs a few microseconds plus a little per coefficient (crossover between
+# 4 and 6 for equal lengths; 2-CPU x86-64 VM, CPython 3.11).
+_KRONECKER_MIN_LEN = 6
+
+# array typecodes by item size: slots of 1, 2, 4 or 8 bytes pack in C
+_SLOT_CODES = {array(c).itemsize: c for c in "BHILQ"}
+
+
 def _gf_mul(a, b, p):
+    """Product of two residue lists, reduced mod p.
+
+    Kronecker substitution (Harvey 2009, "Faster polynomial multiplication
+    via multipoint Kronecker substitution"): each list becomes one integer
+    with a coefficient per slot of w bytes, the two integers are multiplied
+    once, and the product's slots are read back.  A coefficient of the
+    integer product is at most min(len a, len b) (p - 1)^2, so slots that
+    hold that bound never carry into each other.  Short operands, and
+    products whose slots would need more than 8 bytes (p above about 2^28
+    for operands of a few hundred coefficients), take the schoolbook loop.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    la, lb = len(a), len(b)
+    if la >= _KRONECKER_MIN_LEN or lb >= _KRONECKER_MIN_LEN:
+        w = ((min(la, lb) * (p - 1) ** 2).bit_length() + 7) // 8
+        code = next((_SLOT_CODES[s] for s in _SLOT_CODES if s >= w), None)
+        if code:
+            x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+            y = x if a is b else int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+            slots = array(code)
+            slots.frombytes((x * y).to_bytes((la + lb - 1) * slots.itemsize, sys.byteorder))
+            return _gf_trim([c % p for c in slots])
+    out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -131,6 +167,41 @@ def _gf_gcd(a, b, p):
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def _gf_deriv(a, p):
+    return _gf_trim([(a[i] * i) % p for i in range(1, len(a))])
+
+
+def _gf_pow_int(a, e, p):
+    result = [1]
+    base = a
+    while e:
+        if e & 1:
+            result = _gf_mul(result, base, p)
+        base = _gf_mul(base, base, p)
+        e >>= 1
+    return result
+
+
+def _gf_powers(a, n, p):
+    """[a^0, a^1, ..., a^n]."""
+    out = [[1]]
+    for _ in range(n):
+        out.append(_gf_mul(out[-1], a, p))
+    return out
+
+
+def _hom_eval(f, P, qpow, p):
+    """sum f[i] P^i Q^(deg - i) by Horner in P, where qpow = _gf_powers(Q,
+    deg, p): the numerator of f(P/Q) Q^deg."""
+    deg = len(qpow) - 1
+    acc = []
+    for i in range(deg, -1, -1):
+        acc = _gf_mul(acc, P, p)
+        if i < len(f) and f[i]:
+            acc = _gf_add(acc, [(c * f[i]) % p for c in qpow[deg - i]], p)
+    return acc
 
 
 def _gf_pow_mod(a, e, m, p):
@@ -206,7 +277,7 @@ class Field:
                 raise FieldMismatch("finite-field element in rational context")
             return Fraction(x)
         if isinstance(x, FFElem):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise FieldMismatch(f"element of {x.field} used in {self}")
             return x
         if isinstance(x, Fraction):
@@ -295,7 +366,8 @@ class FFElem:
 
     def _coerce(self, other):
         if isinstance(other, FFElem):
-            if other.field != self.field:
+            # fields are cached per (p, k): identity settles almost every call
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):

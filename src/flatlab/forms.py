@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
-from .exactnum import _gf_add, _gf_mul, _gf_sub, _gf_trim, mat_kernel
+from .exactnum import (
+    _gf_deriv,
+    _gf_mul,
+    _gf_pow_int,
+    _gf_powers,
+    _gf_sub,
+    _hom_eval,
+    mat_kernel,
+)
 from .dynamics import INFINITY, P1Point, postcritical_graph
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _poly_pth_root, root_multiplicity
@@ -238,15 +246,13 @@ def _solve(sigma, weight, h_int, deg_g):
     W = _gf_sub(_gf_mul(_gf_deriv(P, p), Q, p), _gf_mul(P, _gf_deriv(Q, p), p), p)
 
     # LHS column i: P^i Q^(deg_g - i) W^weight h ; RHS: t^i Hhat Q^(deg_g + 2 weight - deg_h)
-    hhat = _hom_eval(h_int, P, Q, deg_h, p)
+    hhat = _hom_eval(h_int, P, _gf_powers(Q, deg_h, p), p)
     rhs_base = _gf_mul(hhat, _gf_pow_int(Q, deg_g + 2 * weight - deg_h, p), p)
     t_base = _gf_mul(_gf_pow_int(W, weight, p), h_int, p)
     qt = [t_base]
     for _ in range(deg_g):
         qt.append(_gf_mul(qt[-1], Q, p))
-    ppow = [[1]]
-    for _ in range(deg_g):
-        ppow.append(_gf_mul(ppow[-1], P, p))
+    ppow = _gf_powers(P, deg_g, p)
     cols = []
     nrows = 0
     for i in range(deg_g + 1):
@@ -272,30 +278,3 @@ def _solve(sigma, weight, h_int, deg_g):
         forms.append(form)
     return forms
 
-
-def _gf_deriv(a, p):
-    return _gf_trim([(a[i] * i) % p for i in range(1, len(a))])
-
-
-def _gf_pow_int(a, e, p):
-    result = [1]
-    base = a
-    while e:
-        if e & 1:
-            result = _gf_mul(result, base, p)
-        base = _gf_mul(base, base, p)
-        e >>= 1
-    return result
-
-
-def _hom_eval(f, P, Q, deg, p):
-    """sum f[i] P^i Q^(deg - i) by Horner in P with Q powers."""
-    acc = []
-    qpow = [[1]]
-    for _ in range(deg):
-        qpow.append(_gf_mul(qpow[-1], Q, p))
-    for i in range(deg, -1, -1):
-        acc = _gf_mul(acc, P, p)
-        if i < len(f) and f[i]:
-            acc = _gf_add(acc, [(c * f[i]) % p for c in qpow[deg - i]], p)
-    return acc

@@ -24,7 +24,18 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .exactnum import Field, FFElem, _prime_factors, field_create, is_prime
+from .exactnum import (
+    Field,
+    FFElem,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_mul,
+    _gf_powers,
+    _hom_eval,
+    _prime_factors,
+    field_create,
+    is_prime,
+)
 
 
 class Poly:
@@ -48,6 +59,21 @@ class Poly:
         obj.field = field
         obj.coeffs = tuple(coeffs)
         return obj
+
+    @classmethod
+    def _from_residues(cls, field, residues):
+        # trusted path for prime fields: trimmed ints in range(p)
+        obj = object.__new__(cls)
+        obj.field = field
+        obj.coeffs = tuple([FFElem(field, (c,)) for c in residues])
+        return obj
+
+    def _residues(self):
+        return [c.coeffs[0] for c in self.coeffs]
+
+    @property
+    def _over_prime_field(self):
+        return self.field.k == 1 and self.field.p != 0
 
     @classmethod
     def zero(cls, field):
@@ -124,6 +150,10 @@ class Poly:
         o = self._check(other)
         if o is None:
             return NotImplemented
+        if self._over_prime_field:
+            a = self._residues()
+            b = a if o is self else o._residues()
+            return Poly._from_residues(self.field, _gf_mul(a, b, self.field.p))
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return Poly.zero(self.field)
@@ -148,6 +178,9 @@ class Poly:
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
         field = self.field
+        if self._over_prime_field:
+            quo, rem = _gf_divmod(self._residues(), o._residues(), field.p)
+            return Poly._from_residues(field, quo), Poly._from_residues(field, rem)
         rem = list(self.coeffs)
         db = o.degree
         if self.degree < db:
@@ -223,6 +256,8 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero if both arguments are zero)."""
+    if a._over_prime_field:
+        return Poly._from_residues(a.field, _gf_gcd(a._residues(), b._residues(), a.field.p))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -390,21 +425,32 @@ class RatFunc:
         return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
 
     def compose(self, inner):
-        """self after inner; clears denominators by Horner homogenization."""
+        """self after inner; clears denominators by Horner homogenization
+        (over F_p on residue lists, through exactnum._hom_eval)."""
         o = self._coerce(inner)
         if o is None:
             raise TypeError("compose expects a rational function")
         m = max(self.num.degree, self.den.degree, 0)
-        P, Q = o.num, o.den
-        qpow = [Poly.one(self.field)]
-        for _ in range(m):
-            qpow.append(qpow[-1] * Q)
+        field = self.field
+        if self.num._over_prime_field:
+            p = field.p
+            P = o.num._residues()
+            qpow = _gf_powers(o.den._residues(), m, p)
 
-        def hom(f):
-            acc = Poly.zero(self.field)
-            for i in range(m, -1, -1):
-                acc = acc * P + qpow[m - i].scale(f.coeff(i))
-            return acc
+            def hom(f):
+                return Poly._from_residues(field, _hom_eval(f._residues(), P, qpow, p))
+
+        else:
+            P, Q = o.num, o.den
+            qpow = [Poly.one(field)]
+            for _ in range(m):
+                qpow.append(qpow[-1] * Q)
+
+            def hom(f):
+                acc = Poly.zero(field)
+                for i in range(m, -1, -1):
+                    acc = acc * P + qpow[m - i].scale(f.coeff(i))
+                return acc
 
         den = hom(self.den)
         if den.is_zero:

@@ -2,6 +2,7 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
 from conftest import lattes_expr
 
 from flatlab import P1Point, p1_eval, parse_ratfunc, rationals
@@ -93,6 +94,14 @@ def test_classify_weights_list(capsys):
                        "--min-good", "1")
     assert code == 0
     assert "form w4: 1/t^4" in out
+
+
+@pytest.mark.parametrize("expr, weights", [("t^2+1", "-2"), ("t^2", "-2"), ("t^2", "0")])
+def test_classify_rejects_nonpositive_weights(capsys, expr, weights):
+    code, out, err = run(capsys, "classify", expr, "--primes", "5..30", "--weights", weights)
+    assert code == 3
+    assert out == ""
+    assert f"bad weights {weights!r}" in err
 
 
 def test_classify_forms_imply_parabolic():

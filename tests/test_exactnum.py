@@ -5,7 +5,7 @@ import pytest
 
 from flatlab import field_create, is_prime, mat_kernel, rationals
 from flatlab.errors import DivisionByZero, FieldMismatch, NotPrime
-from flatlab.exactnum import _gf_gcd, _gf_irreducible
+from flatlab.exactnum import _KRONECKER_MIN_LEN, _gf_gcd, _gf_irreducible, _gf_mul
 
 
 def test_field_create_prime_field():
@@ -112,6 +112,39 @@ def test_big_rational_round_trips():
             assert (a * b) / b == a
             assert (a / b) * (b / a) == 1 if a else True
         assert a.denominator >= 1
+
+
+def _schoolbook_mul(a, b, p):
+    # reference for _gf_mul: the plain double loop, reduced term by term
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 97, 10007, 2 ** 61 - 1])
+def test_gf_mul_matches_schoolbook(p):
+    # lengths on both sides of the Kronecker cut; all-(p-1) operands reach
+    # the largest coefficient the slots must hold, min(len) (p-1)^2
+    rng = random.Random(p)
+    cut = _KRONECKER_MIN_LEN
+    lengths = [0, 1, 2, cut - 1, cut, cut + 1, 17, 64, 300]
+    fills = [
+        lambda: rng.randrange(p),
+        lambda: p - 1,
+        lambda: rng.choice((0, p - 1)),
+    ]
+    for la in lengths:
+        for lb in lengths:
+            for fill in fills:
+                a = [fill() for _ in range(la)]
+                b = [fill() for _ in range(lb)]
+                assert _gf_mul(a, b, p) == _schoolbook_mul(a, b, p), (la, lb)
+        a = [p - 1] * la
+        assert _gf_mul(a, a, p) == _schoolbook_mul(a, a, p), la
 
 
 def test_kernel_zero_matrix():

@@ -213,11 +213,14 @@ def test_reduce_small_prime_rejected():
 
 def test_reduce_respects_composition():
     rng = random.Random(9)
-    maps = ["t^2+1", "t^2-2", "(t^2+1)/t", "t^3-3*t"]
-    for _ in range(10):
-        s = parse_ratfunc(rng.choice(maps), Q)
-        u = parse_ratfunc(rng.choice(maps), Q)
-        p = rng.choice([11, 13, 17])
+    maps = [parse_ratfunc(e, Q) for e in ("t^2+1", "t^2-2", "(t^2+1)/t", "t^3-3*t")]
+    pairs = [(rng.choice(maps), rng.choice(maps), rng.choice([11, 13, 17])) for _ in range(10)]
+    # seeded maps over Q of degree up to 4: composites of degree up to 16,
+    # whose mod-p products cross the Kronecker length cut
+    seeded = [_random_map_q(rng, 4) for _ in range(12)]
+    pairs += [(s, u, rng.choice([11, 13, 17, 19, 23])) for s, u in zip(seeded, seeded[1:])]
+    checked = 0
+    for s, u, p in pairs:
         comp = s.compose(u)
         try:
             left = reduce_mod_p(comp, p)
@@ -225,6 +228,124 @@ def test_reduce_respects_composition():
         except BadPrime:
             continue
         assert left == right
+        checked += 1
+    assert checked >= 12
+
+
+def _random_map_q(rng, max_deg):
+    while True:
+        num = Poly(Q, [rng.randrange(-9, 10) for _ in range(rng.randrange(1, max_deg + 2))])
+        den = Poly(Q, [rng.randrange(-9, 10) for _ in range(rng.randrange(1, max_deg + 2))])
+        if not den.is_zero and not RatFunc(num, den).is_constant:
+            return RatFunc(num, den)
+
+
+# ---------------------------------------------------------------- prime-field layer
+
+def _to_sympy(f, sympy):
+    coeffs = [c.coeffs[0] for c in reversed(f.coeffs)] or [0]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), modulus=f.field.p)
+
+
+def _from_sympy(g, field):
+    return Poly(field, [int(c) % field.p for c in reversed(g.all_coeffs())])
+
+
+def _random_poly(rng, field, max_deg):
+    return Poly(field, [rng.randrange(field.p) for _ in range(rng.randrange(max_deg + 2))])
+
+
+@pytest.mark.parametrize("p", [5, 97, 2 ** 31 - 1])
+def test_prime_field_poly_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    field = field_create(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        a = _random_poly(rng, field, 40)
+        b = _random_poly(rng, field, 40)
+        sa, sb = _to_sympy(a, sympy), _to_sympy(b, sympy)
+        assert a * b == _from_sympy(sa * sb, field)
+        assert a * a == _from_sympy(sa * sa, field)
+        if b.is_zero:
+            continue
+        q, r = divmod(a, b)
+        sq, sr = sa.div(sb)
+        assert (q, r) == (_from_sympy(sq, field), _from_sympy(sr, field))
+        assert poly_gcd(a, b) == _from_sympy(sa.gcd(sb), field).monic()
+
+
+@pytest.mark.parametrize("p", [5, 97, 2 ** 31 - 1])
+def test_prime_field_compose_matches_sympy(p):
+    # reference: the homogenized numerator and denominator sum f_i P^i Q^(m-i)
+    # computed by sympy, cancelled by their gcd, denominator made monic
+    sympy = pytest.importorskip("sympy")
+    field = field_create(p)
+    rng = random.Random(p + 1)
+    for _ in range(15):
+        f = _random_map(rng, field, 8)
+        g = _random_map(rng, field, 4)
+        m = f.degree
+        P, Qs = _to_sympy(g.num, sympy), _to_sympy(g.den, sympy)
+
+        def hom(h):
+            acc = _to_sympy(Poly.zero(field), sympy)
+            for i, c in enumerate(h.coeffs):
+                acc += P ** i * Qs ** (m - i) * c.coeffs[0]
+            return acc
+
+        num, den = hom(f.num), hom(f.den)
+        common = num.gcd(den)
+        num, den = _from_sympy(num.quo(common), field), _from_sympy(den.quo(common), field)
+        scale = field.one / den.lc()
+        assert f.compose(g) == RatFunc(num.scale(scale), den.scale(scale))
+
+
+def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
+    # one F_p product loop: prime-field Poly products, division and
+    # composition reach exactnum._gf_mul / _gf_divmod / _hom_eval on whole
+    # coefficient lists; over F_{p^k} these only see FFElem's length-k
+    # residue vectors, and over Q they are never called
+    from flatlab import exactnum, forms, ratfunc
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(a, b, *rest):
+            calls.append((fn.__name__, len(a), len(b)))
+            return fn(a, b, *rest)
+        return wrapper
+
+    names = ("_gf_mul", "_gf_divmod", "_hom_eval")
+    for name in names:
+        original = getattr(exactnum, name)
+        for mod in (exactnum, ratfunc, forms):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(original))
+
+    def longest(run):
+        calls.clear()
+        run()
+        return {name: max((max(la, lb) for n, la, lb in calls if n == name), default=0)
+                for name in names}
+
+    rng = random.Random(23)
+    F97 = field_create(97)
+    a, b = _random_poly(rng, F97, 0) + Poly.gen(F97) ** 12, Poly.gen(F97) ** 7 + 1
+    sigma = parse_ratfunc("(t^3+2)/(t^2+5)", F97)
+    assert longest(lambda: a * b)["_gf_mul"] == 13
+    assert longest(lambda: divmod(a, b))["_gf_divmod"] == 13
+    composed = longest(lambda: RatFunc(a, b).compose(sigma))
+    assert composed["_hom_eval"] == 13 and composed["_gf_mul"] >= 13
+
+    F25 = field_create(5, 2)
+    c = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(12)] + [1])
+    d = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(7)] + [1])
+    for run in (lambda: c * d, lambda: divmod(c, d), lambda: RatFunc(c, d).compose(RatFunc(d, c))):
+        assert max(longest(run).values()) <= 2 * F25.k
+
+    e = parse_ratfunc("(t^5+1/2*t)/(t^3-7)", Q)
+    for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den), lambda: e.compose(e)):
+        assert longest(run) == dict.fromkeys(names, 0)
 
 
 # ---------------------------------------------------------------- factorization
