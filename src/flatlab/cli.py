@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import BadPrime, DegreeTooSmall, FlatlabError, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
 from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, rational_roots, reduce_mod_p
-from .dynamics import _critical_data, _escape_bits, _orbit_graph, postcritical_graph
+from .dynamics import _RationalWalk, _critical_data, _orbit_graph, postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
 from . import atlas
@@ -43,42 +43,58 @@ def _weights_for(policy, p):
     return [w for w in policy if w % p != 0]
 
 
+def _signature_json(sig_res):
+    return [_mu_json(m) for m, n in sig_res.counts for _ in range(n)]
+
+
 def _prime_worker(args):
-    """Analyze one prime; pure function of its arguments (safe to fan out)."""
+    """Analyze one prime; pure function of its arguments (safe to fan out).
+
+    A library error or an internal guard failure at one stage is recorded
+    for this prime, as "<stage>: <type>: <message>" under "reason", and
+    the prime counts as bad, so the sweep goes on.
+    """
     sigma, p, policy, want_timings = args
     report = {"p": p, "good": False}
     timings = {}
-    t0 = time.perf_counter()
+    stage = "reduce"
     try:
-        sig_p = reduce_mod_p(sigma, p)
-    except BadPrime as exc:
-        report["reason"] = exc.reason
-        return report
-    timings["reduce_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+        t0 = time.perf_counter()
+        try:
+            sig_p = reduce_mod_p(sigma, p)
+        except BadPrime as exc:
+            report["reason"] = exc.reason
+            return report
+        timings["reduce_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 
-    t0 = time.perf_counter()
-    graph = postcritical_graph(sig_p)
-    mu = mu_compute(graph)
-    data = orbifold_data(graph, mu)
-    sig_res = parabolic_signature(data)
-    timings["orbifold_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+        stage = "orbifold"
+        t0 = time.perf_counter()
+        graph = postcritical_graph(sig_p)
+        mu = mu_compute(graph)
+        data = orbifold_data(graph, mu)
+        del graph, mu  # the walk's dicts go before the signature list is built
+        sig_res = parabolic_signature(data)
+        timings["orbifold_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+
+        stage = "search"
+        forms_found = []
+        t0 = time.perf_counter()
+        # an invariant form forces a parabolic orbifold (weight reduction plus
+        # the genus dichotomy), so the search can only succeed when chi = 0
+        if data.chi == 0:
+            for weight in _weights_for(policy, p):
+                for form in invariant_search(sig_p, weight, data):
+                    forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
+        timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+        if forms_found and data.chi != 0:
+            raise RuntimeError("invariant form found with chi != 0 (internal)")
+    except (FlatlabError, RuntimeError) as exc:
+        report["reason"] = f"{stage}: {type(exc).__name__}: {exc}"
+        return report
 
     report["good"] = True
     report["chi"] = str(data.chi)
-    report["signature"] = [_mu_json(m) for m in sig_res.signature]
-
-    forms_found = []
-    t0 = time.perf_counter()
-    # an invariant form forces a parabolic orbifold (weight reduction plus
-    # the genus dichotomy), so the search can only succeed when chi = 0
-    if data.chi == 0:
-        for weight in _weights_for(policy, p):
-            for form in invariant_search(sig_p, weight, data):
-                forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
-    timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-
-    if forms_found and data.chi != 0:
-        raise RuntimeError("invariant form found with chi != 0 (internal)")
+    report["signature"] = _signature_json(sig_res)
     report["forms_found"] = forms_found
     if want_timings:
         report["timings"] = timings
@@ -100,7 +116,7 @@ def _char0_report(sigma):
         return {"supported": False, "reason": "critical points are not all rational"}
     crits = _critical_data(sigma.degree, wron, roots)
     try:
-        graph = _orbit_graph(sigma, crits, max_steps=64, max_bits=_escape_bits(sigma))
+        graph = _orbit_graph(sigma, crits, _RationalWalk(sigma), max_steps=64)
     except OrbitBoundExceeded as exc:
         return {"supported": False, "reason": str(exc)}
     data = orbifold_data(graph)
@@ -108,7 +124,7 @@ def _char0_report(sigma):
     return {
         "supported": True,
         "chi": str(data.chi),
-        "signature": [_mu_json(m) for m in sig_res.signature],
+        "signature": _signature_json(sig_res),
         "parabolic": sig_res.parabolic,
     }
 
@@ -328,11 +344,9 @@ def cmd_orbifold(args):
         "input": args.expr,
         "p": args.p,
         "splitting_field": repr(field),
-        "postcritical": [
-            {"point": str(pt), "mu": _mu_json(m)} for pt, m in data.postcritical
-        ],
+        "postcritical": [{"point": str(pt), "mu": _mu_json(m)} for pt, m in data.points()],
         "chi": str(data.chi),
-        "signature": [_mu_json(m) for m in sig_res.signature],
+        "signature": _signature_json(sig_res),
         "parabolic": sig_res.parabolic,
     }
     if field.k > 1:

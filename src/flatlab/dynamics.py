@@ -7,6 +7,13 @@ W = P'Q - PQ' and collecting its roots inside one extension F_{p^k}
 (k = lcm of the irreducible factor degrees); forward orbits stay inside
 that extension because the map has prime-field coefficients.
 
+For the same reason the Frobenius x -> x^p commutes with the map: it maps
+orbits to orbits and keeps every ramification index, so mu is constant on
+a Frobenius class.  The orbit graph therefore holds one vertex per class,
+its point_key-least point packed into one int, and the walk evaluates the
+map on residue lists; a point is decoded only where it is printed or its
+minimal polynomial is needed.
+
 Every ramification index in the pipeline is read off the Wronskian by one
 rule, _critical_data: e(A) = 1 + ord_A(W) at a finite point and
 e(inf) = 2 deg - 1 - deg W, exact for tame maps (char 0 or p > deg).  The
@@ -22,7 +29,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadCharacteristic, Inseparable, OrbitBoundExceeded, WildRamification
-from .exactnum import FFElem, field_create
+from .exactnum import (
+    FFElem,
+    _GFMatrix,
+    _gf_divmod,
+    _gf_inv_mod,
+    _gf_mul,
+    _gf_pow_mod,
+    _gf_trim,
+    _kron_pack,
+    _kron_unpack,
+    _slot_bytes,
+    field_create,
+)
 from .ratfunc import Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, valuation_at_zero
 
 
@@ -178,14 +197,22 @@ def critical_locus(sigma: RatFunc):
 
 @dataclass(frozen=True)
 class OrbitGraph:
-    """Forward orbits of the critical points as a weighted functional graph.
+    """Forward orbits of the critical points as a weighted functional graph
+    with one vertex per Frobenius class.
 
-    vertices: critical points and all their forward images, sorted;
-    edges: vertex -> sigma(vertex); weights: vertex -> ramification index,
-    which is e at a critical point and 1 elsewhere (the critical data hold
-    every ramified point, by Riemann-Hurwitz); postcritical: vertices
-    reachable by at least one edge from a critical vertex.  sigma and field
-    are the lifted map and its extension field.
+    sigma has coefficients in F_p, so the Frobenius x -> x^p commutes with
+    it: it maps orbits to orbits and keeps every ramification index, and
+    hence mu.  A vertex is the point_key-least point of its class, as a
+    vertex_key: a packed int over F_{p^k}, the P1Point itself over Q (where
+    every class is one point).
+
+    vertices: the classes of the critical points and of all their forward
+    images, sorted; edges: vertex -> class of sigma(vertex); weights: the
+    ramification index at each critical class, 1 off them (the critical
+    data hold every ramified point, by Riemann-Hurwitz); critical: the
+    critical classes, sorted; sizes: the class size where it is below the
+    extension degree k (infinity and points of proper subfields).  sigma
+    and field are the lifted map and its extension field.
     """
 
     sigma: RatFunc
@@ -194,7 +221,191 @@ class OrbitGraph:
     edges: dict
     weights: dict
     critical: tuple
-    postcritical: frozenset
+    sizes: dict
+
+    @property
+    def postcritical(self) -> frozenset:
+        """The vertices reachable by at least one edge from a critical
+        vertex: every vertex lies on a critical orbit, so these are the
+        edge targets."""
+        return frozenset(self.edges.values())
+
+    def point(self, v) -> P1Point:
+        return vertex_point(self.field, v)
+
+    def size(self, v) -> int:
+        return self.sizes.get(v, self.field.k)
+
+
+def vertex_key(field, pt: P1Point):
+    """The orbit-graph key of a point.  Over F_{p^k} it is one int: the
+    residues c_0, ..., c_{k-1} of the value as base-p digits with c_0
+    leading, so that int order is point_key order, and p^k at infinity.
+    Over Q it is the P1Point."""
+    if field.is_rationals:
+        return pt
+    if pt.is_infinity:
+        return field.order
+    n = 0
+    for c in pt.value.coeffs:
+        n = n * field.p + c
+    return n
+
+
+def vertex_point(field, v) -> P1Point:
+    """The point an orbit-graph key stands for (the inverse of vertex_key)."""
+    if field.is_rationals:
+        return v
+    if v == field.order:
+        return INFINITY
+    coeffs = [0] * field.k
+    for i in range(field.k - 1, -1, -1):
+        v, coeffs[i] = divmod(v, field.p)
+    return P1Point(FFElem(field, tuple(coeffs)))
+
+
+def frobenius_class(field, v):
+    """The points of the Frobenius class of vertex v, sorted by point_key."""
+    pt = vertex_point(field, v)
+    if pt.is_infinity or field.k == 1:
+        return [pt]
+    out = [pt]
+    nxt = pt.value ** field.p
+    while nxt != pt.value:
+        out.append(P1Point(nxt))
+        nxt = nxt ** field.p
+    return sorted(out, key=point_key)
+
+
+class _ResidueWalk:
+    """sigma on P^1(F_{p^k}) as vertex keys, for the orbit walk.
+
+    No FFElem or P1Point is made per point.  sigma's coefficients lie in
+    F_p, so sigma(a) is computed by Kronecker substitution: the residues of
+    a fill the slots of one integer, Horner's rule gives N(a(x)) and
+    D(a(x)) over Z, and one fixed matrix reduces them mod m and p (the
+    inverse of D(a) comes from exactnum._gf_inv_mod).  A coefficient of
+    N(a(x)) is at most (d + 1)(p - 1)(k (p - 1))^d, so the slots never
+    overflow.  F_p itself is F_p[x]/(x).  canon maps a point to its class:
+    the Frobenius is F_p-linear, so one stacked matrix of its powers gives
+    every conjugate of a point at once.
+    """
+
+    sort_key = None
+
+    def __init__(self, sigma):
+        field = sigma.field
+        p, k = field.p, field.k
+        self.p, self.k, self.inf = p, k, field.order
+        self.modulus = modulus = list(field.modulus) if k > 1 else [0, 1]
+        self.num = [c.coeffs[0] for c in sigma.num.coeffs]
+        self.den = [c.coeffs[0] for c in sigma.den.coeffs]
+        if len(self.num) > len(self.den):
+            self.at_inf = self.inf
+        elif len(self.num) < len(self.den):
+            self.at_inf = 0
+        else:
+            self.at_inf = self.num[-1] * pow(self.den[-1], -1, p) % p * p ** (k - 1)
+        # a coefficient of N(a(x)) over Z is at most
+        # (d + 1)(p - 1)(k (p - 1))^d; there are d (k - 1) + 1 of them
+        d = max(len(self.num), len(self.den)) - 1
+        self.width = d * (k - 1) + 1  # >= 2k - 1, the length of a product
+        self.size = _slot_bytes((d + 1) * (p - 1) * (k * (p - 1)) ** d)
+        xj = [[1]]  # x^j mod m
+        for _ in range(self.width - 1):
+            xj.append(_gf_divmod([0] + xj[-1], modulus, p)[1])
+        rows = [[r[i] if i < len(r) else 0 for r in xj] for i in range(k)]
+        # applied to residue lists and to products of two, entries <= k (p - 1)^2
+        self.reduce = _GFMatrix(rows, p, k * (p - 1) ** 2)
+        if k > 1:
+            # x -> x^p is the matrix whose column j is x^(j p) mod m
+            gp = _gf_pow_mod([0, 1], p, modulus, p)
+            cols = [[1]]
+            for _ in range(k - 1):
+                cols.append(_gf_divmod(_gf_mul(cols[-1], gp, p), modulus, p)[1])
+            frob = [[c[i] if i < len(c) else 0 for c in cols] for i in range(k)]
+            power, rows = frob, []
+            for _ in range(k - 1):
+                rows += power
+                power = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*frob)] for row in power]
+            self.conjugates = _GFMatrix(rows, p, p - 1)
+        self.subfield = p ** (k - 1)  # the keys of the points of F_p are its multiples
+
+    def _digits(self, v):
+        out = [0] * self.k
+        for i in range(self.k - 1, -1, -1):
+            v, out[i] = divmod(v, self.p)
+        return out
+
+    def _evaluate(self, coeffs, a):
+        """The residue list of the polynomial coeffs at the point packed in a."""
+        p, reduce = self.p, self.reduce
+        slots = _kron_unpack(_horner(coeffs, a), self.size, self.width)
+        return reduce(reduce.pack([c % p for c in slots]))
+
+    def step(self, v):
+        if v == self.inf:
+            return self.at_inf
+        p, reduce = self.p, self.reduce
+        a = _kron_pack(self._digits(v), self.size)
+        den = _gf_trim(self._evaluate(self.den, a))
+        if not den:
+            return self.inf
+        inv = _gf_inv_mod(den, self.modulus, p)
+        n = 0
+        for c in reduce(reduce.pack(self._evaluate(self.num, a)) * reduce.pack(inv)):
+            n = n * p + c
+        return n
+
+    def canon(self, v):
+        """(the least key in the class of v, the class size)."""
+        if v == self.inf or v % self.subfield == 0:
+            return v, 1
+        p, k, conjugates = self.p, self.k, self.conjugates
+        conj = conjugates(conjugates.pack(self._digits(v)))
+        best = v
+        for i in range(k - 1):
+            n = 0
+            for c in conj[i * k:(i + 1) * k]:
+                n = n * p + c
+            if n == v:
+                return best, i + 1
+            if n < best:
+                best = n
+        return best, k
+
+
+def _horner(coeffs, a):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
+
+
+class _RationalWalk:
+    """sigma on P^1(Q), for the orbit walk: every class is one point, and a
+    step that passes the escape height _escape_bits(sigma) raises
+    OrbitBoundExceeded, since no orbit through it closes."""
+
+    sort_key = staticmethod(point_key)
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.max_bits = _escape_bits(sigma)
+
+    def step(self, v):
+        nxt = p1_eval(self.sigma, v)
+        if not nxt.is_infinity:
+            size = max(abs(nxt.value.numerator), nxt.value.denominator)
+            if size.bit_length() > self.max_bits:
+                raise OrbitBoundExceeded(
+                    f"a critical orbit never closes: it passes the escape height of {self.max_bits} bits"
+                )
+        return nxt
+
+    @staticmethod
+    def canon(v):
+        return v, 1
 
 
 def _escape_bits(sigma):
@@ -211,49 +422,48 @@ def _escape_bits(sigma):
     return -(-c.bit_length() // (d - 1)) + 1
 
 
-def _orbit_graph(sigma: RatFunc, crits, max_steps=None, max_bits=None) -> OrbitGraph:
-    """The orbit graph of sigma from its complete critical data crits.
+def _orbit_graph(sigma: RatFunc, crits, walk, max_steps=None) -> OrbitGraph:
+    """The orbit graph of sigma from its complete critical data crits,
+    walked one Frobenius class at a time: walk is a _ResidueWalk over
+    F_{p^k} or a _RationalWalk over Q.
 
-    Over Q, a critical orbit that adds more than max_steps vertices, or
-    passes the escape height of max_bits bits (numerator or denominator),
-    raises OrbitBoundExceeded.  Orbits in P^1(F_q) always close.
+    A critical orbit that adds more than max_steps vertices raises
+    OrbitBoundExceeded.  Orbits in P^1(F_q) always close.
     """
-    edges = {}
+    field = sigma.field
+    k = field.k
+    weights, sizes, edges = {}, {}, {}
     for c in crits:
-        v = c.point
+        v, size = walk.canon(vertex_key(field, c.point))
+        weights[v] = c.e
+        if size < k:
+            sizes[v] = size
+    critical = tuple(sorted(weights, key=walk.sort_key))
+    for v in critical:
         steps = 0
         while v not in edges:
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise OrbitBoundExceeded(f"a critical orbit does not close within {max_steps} steps")
-            nxt = p1_eval(sigma, v)
-            if max_bits is not None and not nxt.is_infinity:
-                size = max(abs(nxt.value.numerator), nxt.value.denominator)
-                if size.bit_length() > max_bits:
-                    raise OrbitBoundExceeded(
-                        f"a critical orbit never closes: it passes the escape height of {max_bits} bits"
-                    )
+            nxt, size = walk.canon(walk.step(v))
+            if size < k:
+                sizes[nxt] = size
             edges[v] = nxt
             v = nxt
-    e_at = {c.point: c.e for c in crits}
-    postcritical = set()
-    for c in crits:
-        v = edges[c.point]
-        while v not in postcritical:
-            postcritical.add(v)
-            v = edges[v]
     return OrbitGraph(
         sigma=sigma,
-        field=sigma.field,
-        vertices=tuple(sorted(edges, key=point_key)),
+        field=field,
+        vertices=tuple(sorted(edges, key=walk.sort_key)),
         edges=edges,
-        weights={v: e_at.get(v, 1) for v in edges},
-        critical=tuple(crits),
-        postcritical=frozenset(postcritical),
+        weights=weights,
+        critical=critical,
+        sizes=sizes,
     )
 
 
 def postcritical_graph(sigma: RatFunc) -> OrbitGraph:
-    """Critical points plus their forward orbits, weights, and marks."""
+    """Critical points plus their forward orbits, one vertex per Frobenius
+    class, with weights and marks."""
     ext, crits = critical_locus(sigma)
-    return _orbit_graph(sigma.lift_to(ext), crits)
+    lifted = sigma.lift_to(ext)
+    return _orbit_graph(lifted, crits, _ResidueWalk(lifted))

@@ -108,6 +108,30 @@ _KRONECKER_MIN_LEN = 6
 _SLOT_CODES = {array(c).itemsize: c for c in "BHILQ"}
 
 
+def _slot_bytes(bound):
+    """Bytes per Kronecker slot that holds every value up to bound: an
+    array item size when one is large enough."""
+    w = (bound.bit_length() + 7) // 8
+    return next((s for s in sorted(_SLOT_CODES) if s >= w), w)
+
+
+def _kron_pack(v, size):
+    """The integer with v[i] in slot i of size bytes (entries below 2^(8 size))."""
+    code = _SLOT_CODES.get(size)
+    if code:
+        return int.from_bytes(array(code, v).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(c.to_bytes(size, sys.byteorder) for c in v), sys.byteorder)
+
+
+def _kron_unpack(x, size, count):
+    """The first count slots of size bytes of a nonnegative integer x."""
+    raw = x.to_bytes(size * count, sys.byteorder)
+    code = _SLOT_CODES.get(size)
+    if code:
+        return array(code, raw)
+    return [int.from_bytes(raw[i:i + size], sys.byteorder) for i in range(0, len(raw), size)]
+
+
 def _gf_mul(a, b, p):
     """Product of two residue lists, reduced mod p.
 
@@ -124,20 +148,49 @@ def _gf_mul(a, b, p):
         return []
     la, lb = len(a), len(b)
     if la >= _KRONECKER_MIN_LEN or lb >= _KRONECKER_MIN_LEN:
-        w = ((min(la, lb) * (p - 1) ** 2).bit_length() + 7) // 8
-        code = next((_SLOT_CODES[s] for s in _SLOT_CODES if s >= w), None)
-        if code:
-            x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
-            y = x if a is b else int.from_bytes(array(code, b).tobytes(), sys.byteorder)
-            slots = array(code)
-            slots.frombytes((x * y).to_bytes((la + lb - 1) * slots.itemsize, sys.byteorder))
-            return _gf_trim([c % p for c in slots])
+        size = _slot_bytes(min(la, lb) * (p - 1) ** 2)
+        if size in _SLOT_CODES:
+            x = _kron_pack(a, size)
+            y = x if a is b else _kron_pack(b, size)
+            return _gf_trim([c % p for c in _kron_unpack(x * y, size, la + lb - 1)])
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return _gf_trim([c % p for c in out])
+
+
+class _GFMatrix:
+    """A fixed matrix over F_p, applied by one Kronecker product to a vector
+    packed as an integer (pack, or arithmetic on packed integers).
+
+    Row i, reversed and padded with n - 1 zeros, fills slots i (2n - 1)
+    onward of one integer, so slot i (2n - 1) + n - 1 of its product with
+    a packed vector of n entries is the dot product of row i and the
+    vector, and no two rows' slots overlap.  Slots hold n (p - 1) bound,
+    the largest dot product of a vector with entries up to bound.
+    """
+
+    __slots__ = ("p", "n", "size", "packed", "count")
+
+    def __init__(self, rows, p, bound):
+        self.p = p
+        self.n = n = len(rows[0])
+        self.size = _slot_bytes(n * (p - 1) * bound)
+        spread = []
+        for row in rows:
+            spread += list(row[::-1]) + [0] * (n - 1)
+        self.packed = _kron_pack(spread, self.size)
+        self.count = len(spread)
+
+    def pack(self, v):
+        return _kron_pack(v, self.size)
+
+    def __call__(self, x):
+        """[row . v mod p for each row] for the vector v packed in x."""
+        n, p = self.n, self.p
+        return [c % p for c in _kron_unpack(x * self.packed, self.size, self.count)[n - 1::2 * n - 1]]
 
 
 def _gf_divmod(a, b, p):
@@ -215,6 +268,35 @@ def _gf_pow_mod(a, e, m, p):
     return r
 
 
+def _gf_inv_mod(a, m, p):
+    """Inverse of a nonzero residue list a modulo m, coprime to it: extended
+    Euclid in F_p[x], keeping only the cofactor of a, inlined because the
+    orbit walk runs it once per step."""
+    r0, r1 = list(m), _gf_trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        d = len(r1) - 1
+        q = [0] * (len(r0) - d)
+        for i in range(len(r0) - 1 - d, -1, -1):
+            c = r0[i + d] * inv % p
+            q[i] = c
+            if c:
+                for j in range(d):
+                    r0[i + j] = (r0[i + j] - c * r1[j]) % p
+        r0 = _gf_trim(r0[:d])
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, c in enumerate(q):
+            if c:
+                for j, t in enumerate(s1):
+                    s[i + j] -= c * t
+        r0, r1, s0, s1 = r1, r0, s1, _gf_trim([c % p for c in s])
+    if not r1:
+        raise DivisionByZero("residue not invertible modulo m")
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
 def _gf_irreducible(f, p):
     """Rabin test: x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1."""
     k = len(f) - 1
@@ -232,8 +314,10 @@ def _gf_irreducible(f, p):
 
 def _find_modulus(p, k):
     # first irreducible monic f = c_0 + c_1 x + ... + x^k in lexicographic
-    # order of (c_0, ..., c_{k-1}); reproducible without Conway tables
-    for idx in range(p ** k):
+    # order of (c_0, ..., c_{k-1}); reproducible without Conway tables.
+    # idx holds c_0 in its leading base-p digit, and the candidates below
+    # p^(k-1) have c_0 = 0, so x divides them: the search starts past them
+    for idx in range(p ** (k - 1), p ** k):
         coeffs = []
         t = idx
         for pos in range(k - 1, -1, -1):
@@ -419,16 +503,8 @@ class FFElem:
         f = self.field
         if f.k == 1:
             return FFElem(f, (pow(self.coeffs[0], -1, f.p),))
-        # extended Euclid in F_p[x] against the modulus
-        a, b = list(f.modulus), _gf_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while b:
-            q, r = _gf_divmod(a, b, f.p)
-            a, b = b, r
-            s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, f.p), f.p)
-        inv_lc = pow(a[-1], -1, f.p)
-        s0 = [c * inv_lc % f.p for c in s0]
-        return FFElem(f, tuple(s0) + (0,) * (f.k - len(s0)))
+        inv = _gf_inv_mod(_gf_trim(list(self.coeffs)), list(f.modulus), f.p)
+        return FFElem(f, tuple(inv) + (0,) * (f.k - len(inv)))
 
     def __truediv__(self, other):
         o = self._coerce(other)

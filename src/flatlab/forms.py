@@ -21,7 +21,7 @@ from .exactnum import (
     _hom_eval,
     mat_kernel,
 )
-from .dynamics import INFINITY, P1Point, postcritical_graph
+from .dynamics import INFINITY, P1Point, postcritical_graph, vertex_key
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _poly_pth_root, root_multiplicity
 
@@ -158,29 +158,14 @@ def _pole_cap(mu, weight):
     return weight if mu == MU_INFINITY else weight - -(-weight // mu)
 
 
-def _pole_orbits(orbifold, p):
-    """Finite postcritical points grouped into Frobenius orbits.
-
-    Returns [(minimal polynomial over F_p as int tuple, [mu of each point])],
-    sorted by polynomial; the postcritical set of a map with prime-field
-    coefficients is Frobenius-stable, so orbits never leave it.
-    """
-    mu_of = dict(orbifold.postcritical)
-    seen = set()
+def _pole_orbits(orbifold):
+    """The finite postcritical Frobenius classes as [(minimal polynomial over
+    F_p as int tuple, mu)], sorted by polynomial."""
     orbits = []
-    for pt, _ in orbifold.postcritical:
-        if pt.is_infinity or pt in seen:
-            continue
-        orbit = [pt]
-        seen.add(pt)
-        nxt = P1Point(pt.value ** p)
-        while nxt != pt:
-            if nxt not in mu_of:
-                raise RuntimeError("postcritical set is not Frobenius-stable")
-            orbit.append(nxt)
-            seen.add(nxt)
-            nxt = P1Point(nxt.value ** p)
-        orbits.append((pt.value.min_poly(), [mu_of[q] for q in orbit]))
+    for v in orbifold.postcritical:
+        pt = orbifold.point(v)
+        if not pt.is_infinity:
+            orbits.append((pt.value.min_poly(), orbifold.mu[v]))
     orbits.sort(key=lambda item: (len(item[0]), item[0]))
     return orbits
 
@@ -220,10 +205,10 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     if orbifold is None:
         orbifold = orbifold_data(postcritical_graph(sigma))
     h_int = [1]
-    for minpoly, mus in _pole_orbits(orbifold, p):
-        for _ in range(min(_pole_cap(m, weight) for m in mus)):
+    for minpoly, mu in _pole_orbits(orbifold):
+        for _ in range(_pole_cap(mu, weight)):
             h_int = _gf_mul(h_int, list(minpoly), p)
-    cap_inf = _pole_cap(dict(orbifold.postcritical).get(INFINITY, 1), weight)
+    cap_inf = _pole_cap(orbifold.mu.get(vertex_key(orbifold.field, INFINITY), 1), weight)
     deg_g = len(h_int) - 1 - 2 * weight + cap_inf
     if deg_g < 0:
         return []

@@ -11,6 +11,13 @@ walk C -> A, and is infinite exactly when A lies on a cycle through a
 critical vertex (the walk can absorb the ramified loop arbitrarily often).
 The brute-force preimage-chain oracle in the test suite guards this
 reformulation.
+
+The orbit graph holds one vertex per Frobenius class.  The Frobenius
+commutes with the map (its coefficients lie in F_p) and keeps ramification
+indices, so it carries backward chains into A to backward chains into the
+conjugates of A with the same ramification: mu is constant on a class.
+So chi = 2 - sum over postcritical classes of size (1 - 1/mu), and the
+signature counts each class's mu once per point.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadWeight, FieldMismatch, WeightDivisibleByP
-from .dynamics import OrbitGraph, point_key
+from .dynamics import OrbitGraph, frobenius_class, point_key, vertex_point
 from .ratfunc import poly_factor
 
 MU_INFINITY = math.inf
@@ -42,78 +49,150 @@ def mu_lcm(a, b):
     return math.lcm(a, b)
 
 
+def _rho(edges, start):
+    """(tail, cycle length) of the walk from start in a functional graph,
+    by Brent's cycle detection, which stores no vertex of the walk."""
+    power = lam = 1
+    tortoise, hare = start, edges[start]
+    while tortoise != hare:
+        if power == lam:
+            tortoise, power, lam = hare, power * 2, 0
+        hare = edges[hare]
+        lam += 1
+    tortoise = hare = start
+    for _ in range(lam):
+        hare = edges[hare]
+    tail = 0
+    while tortoise != hare:
+        tortoise, hare = edges[tortoise], edges[hare]
+        tail += 1
+    return tail, lam
+
+
 def mu_compute(graph: OrbitGraph) -> dict:
-    """mu value for every vertex of the orbit graph (1 off the marked set)."""
-    mu = {v: 1 for v in graph.vertices}
+    """mu at every postcritical vertex (mu is 1 off the postcritical set).
+
+    The graph holds one vertex per Frobenius class, and the scan runs on it
+    as on a graph of points: a class lies on a cycle of the graph exactly
+    when its points are periodic, the weights along a real cycle are the
+    graph cycle's weights repeated, and a real walk C -> A meets the same
+    classes with the same weights as the graph walk [C] -> [A].
+    """
+    edges, weights = graph.edges, graph.weights
+    mu = dict.fromkeys(edges, 1)  # sized once: 1 until a walk passes the vertex
     for crit in graph.critical:
-        path = [crit.point]
-        pos = {crit.point: 0}
-        while True:
-            nxt = graph.edges[path[-1]]
-            if nxt in pos:
-                cycle_start = pos[nxt]
-                break
-            pos[nxt] = len(path)
-            path.append(nxt)
-        prefix = [1]
-        for v in path:
-            prefix.append(prefix[-1] * graph.weights[v])
-        cycle = set(path[cycle_start:])
-        ramified_cycle = any(graph.weights[v] > 1 for v in cycle)
-        for i in range(1, len(path)):
-            contrib = MU_INFINITY if (path[i] in cycle and ramified_cycle) else prefix[i]
-            mu[path[i]] = mu_lcm(mu[path[i]], contrib)
-        if cycle_start == 0:
+        # the walk from crit passes tail vertices, then loops through lam
+        tail, lam = _rho(edges, crit)
+        v = crit
+        for _ in range(tail):
+            v = edges[v]
+        ramified_cycle = False
+        for _ in range(lam):
+            ramified_cycle = ramified_cycle or v in weights
+            v = edges[v]
+        prod = weights[crit]  # the weight product of the walk's first i vertices
+        v = crit
+        for i in range(1, tail + lam):
+            v = edges[v]
+            contrib = MU_INFINITY if (ramified_cycle and i >= tail) else prod
+            mu[v] = mu_lcm(mu[v], contrib)
+            prod *= weights.get(v, 1)
+        if tail == 0:
             # the walk first returns to its own start after one full loop
-            contrib = MU_INFINITY if ramified_cycle else prefix[-1]
-            mu[path[0]] = mu_lcm(mu[path[0]], contrib)
-    for v in graph.vertices:
-        in_post = v in graph.postcritical
-        if in_post != (mu[v] > 1):
-            raise RuntimeError("mu does not mark the postcritical set (internal)")
+            contrib = MU_INFINITY if ramified_cycle else prod
+            mu[crit] = mu_lcm(mu[crit], contrib)
+    for crit in graph.critical:
+        if mu[crit] == 1:
+            del mu[crit]  # no critical orbit comes back to it
+    # every contribution is at least a critical weight, so mu > 1 must hold
+    # exactly on the edge targets, the postcritical vertices
+    if 1 in mu.values() or not all(w in mu for w in edges.values()):
+        raise RuntimeError("mu does not mark the postcritical set (internal)")
     return mu
 
 
 @dataclass(frozen=True)
 class OrbifoldData:
-    """Postcritical points with their mu values and the exact chi."""
+    """The postcritical Frobenius classes with their mu values and the exact
+    chi.
 
-    postcritical: tuple  # ((P1Point, mu), ...) sorted by point
+    postcritical: the classes as orbit-graph vertices, sorted by point;
+    mu: vertex -> mu; sizes: vertex -> class size where it is below field.k.
+    """
+
+    field: object
+    postcritical: tuple
+    mu: dict
+    sizes: dict
     chi: Fraction
 
+    def size(self, v) -> int:
+        return self.sizes.get(v, self.field.k)
 
-def euler_char(mu_map: dict, postcritical) -> Fraction:
-    """chi = 2 - sum over the postcritical set of (1 - 1/mu), exactly."""
+    def point(self, v):
+        return vertex_point(self.field, v)
+
+    def points(self):
+        """[(P1Point, mu)] over every postcritical point, sorted by point."""
+        out = [(pt, self.mu[v]) for v in self.postcritical for pt in frobenius_class(self.field, v)]
+        out.sort(key=lambda item: point_key(item[0]))
+        return out
+
+
+def _mu_counts(mu_map: dict, size) -> dict:
+    """mu -> number of points, over the classes of mu_map with their sizes."""
+    counts = {}
+    for v, m in mu_map.items():
+        counts[m] = counts.get(m, 0) + size(v)
+    return counts
+
+
+def euler_char(mu_map: dict, graph: OrbitGraph) -> Fraction:
+    """chi = 2 - sum over the postcritical classes, the keys of mu_map, of
+    size (1 - 1/mu), exactly."""
     chi = Fraction(2)
-    for pt in postcritical:
-        m = mu_map[pt]
-        inv = Fraction(0) if m == MU_INFINITY else Fraction(1, m)
-        chi -= 1 - inv
+    for m, n in _mu_counts(mu_map, graph.size).items():
+        chi -= n if m == MU_INFINITY else n * Fraction(m - 1, m)
     return chi
 
 
 def orbifold_data(graph: OrbitGraph, mu_map: dict | None = None) -> OrbifoldData:
     if mu_map is None:
         mu_map = mu_compute(graph)
-    post = sorted(graph.postcritical, key=point_key)
-    chi = euler_char(mu_map, post)
-    return OrbifoldData(postcritical=tuple((pt, mu_map[pt]) for pt in post), chi=chi)
+    return OrbifoldData(
+        field=graph.field,
+        postcritical=tuple(v for v in graph.vertices if v in mu_map),
+        mu=mu_map,
+        sizes={v: s for v, s in graph.sizes.items() if v in mu_map},
+        chi=euler_char(mu_map, graph),
+    )
 
 
 @dataclass(frozen=True)
 class SignatureResult:
-    signature: tuple
+    """counts: ((mu, number of postcritical points), ...), finite mu
+    ascending and inf last."""
+
+    counts: tuple
     parabolic: bool
+
+    @property
+    def signature(self):
+        """The multiset of mu values as a sorted tuple, one entry per point."""
+        return tuple(m for m, n in self.counts for _ in range(n))
 
 
 def parabolic_signature(data: OrbifoldData) -> SignatureResult:
-    """The multiset of mu values, sorted finite-ascending with inf last,
+    """The multiset of mu values, each class's mu counted once per point,
     and whether the orbifold is parabolic (chi = 0)."""
-    sig = tuple(sorted((m for _, m in data.postcritical), key=lambda m: (m == MU_INFINITY, m)))
-    parabolic = data.chi == 0
-    if parabolic and sig not in PARABOLIC_SIGNATURES:
-        raise RuntimeError(f"chi = 0 with impossible signature {sig} (internal)")
-    return SignatureResult(signature=sig, parabolic=parabolic)
+    counts = _mu_counts(data.mu, data.size)
+    res = SignatureResult(
+        counts=tuple(sorted(counts.items(), key=lambda item: (item[0] == MU_INFINITY, item[0]))),
+        parabolic=data.chi == 0,
+    )
+    if res.parabolic and res.signature not in PARABOLIC_SIGNATURES:
+        raise RuntimeError(f"chi = 0 with impossible signature {res.signature} (internal)")
+    return res
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Shared test oracles: brute-force mu via preimage chains, preimage
-enumeration in a splitting field, and a plain affine group law for
-elliptic curves.  These stay independent of the code paths they check."""
+"""Shared test oracles: brute-force mu via preimage chains, the per-point
+orbit walk, preimage enumeration in a splitting field, and a plain affine
+group law for elliptic curves.  These stay independent of the code paths
+they check."""
 
 import math
+from fractions import Fraction
 
 from flatlab import (
     EllipticCurve,
@@ -10,6 +12,7 @@ from flatlab import (
     P1Point,
     Poly,
     RatFunc,
+    critical_locus,
     field_create,
     lattes_map,
     format_ratfunc,
@@ -19,6 +22,7 @@ from flatlab import (
     ram_index,
     rationals,
 )
+from flatlab.dynamics import frobenius_class, point_key
 from flatlab.orbifold import MU_INFINITY
 
 FLAT_BATTERY = ["t^2", "t^3", "1/t^2", "t^2-2", "t^3-3*t"]
@@ -68,6 +72,58 @@ def mu_oracle(graph, max_m=12, cap=2 ** 32, stable_window=None):
         else:
             out[A] = upto_last
     return out
+
+
+def assert_mu_matches(graph, mu, oracle, label=""):
+    """Every conjugate point of every class of the graph has the class's mu
+    in the oracle, and every other point of P^1 has mu 1 there."""
+    covered = set()
+    for v in graph.vertices:
+        for pt in frobenius_class(graph.field, v):
+            assert mu.get(v, 1) == oracle[pt], f"{label}: mu({pt}) = {mu.get(v, 1)} but oracle says {oracle[pt]}"
+            covered.add(pt)
+    for pt, value in oracle.items():
+        if pt not in covered:
+            assert value == 1, f"{label}: oracle gives mu({pt}) = {value} off the graph"
+
+
+def postcritical_points(graph):
+    """The postcritical set of the graph as points: every class expanded."""
+    return {pt for v in graph.postcritical for pt in frobenius_class(graph.field, v)}
+
+
+def pointwise_orbifold(sigma):
+    """The orbifold of a map over F_p from the walk over points, one vertex
+    per point of P^1(F_{p^k}) with FFElem arithmetic, and the mu scan over
+    that graph: ([(P1Point, mu)] over the postcritical set sorted by point,
+    chi, signature).  The library walks Frobenius classes instead."""
+    ext, crits = critical_locus(sigma)
+    sig = sigma.lift_to(ext)
+    edges = {}
+    for c in crits:
+        v = c.point
+        while v not in edges:
+            edges[v] = v = p1_eval(sig, v)
+    weights = {c.point: c.e for c in crits}
+    mu = {}
+    for c in crits:
+        path, pos = [c.point], {c.point: 0}
+        while edges[path[-1]] not in pos:
+            pos[edges[path[-1]]] = len(path)
+            path.append(edges[path[-1]])
+        start = pos[edges[path[-1]]]
+        ramified = any(v in weights for v in path[start:])
+        # each point path[i], i >= 1, and path[start] again after one loop
+        prod = weights[c.point]
+        for i, v in enumerate(path[1:] + [path[start]], 1):
+            contrib = MU_INFINITY if ramified and i >= start else prod
+            old = mu.get(v, 1)
+            mu[v] = MU_INFINITY if MU_INFINITY in (old, contrib) else math.lcm(old, contrib)
+            prod *= weights.get(v, 1)
+    post = sorted(mu.items(), key=lambda item: point_key(item[0]))
+    chi = 2 - sum(1 - (0 if m == MU_INFINITY else Fraction(1, m)) for _, m in post)
+    signature = tuple(sorted((m for _, m in post), key=lambda m: (m == MU_INFINITY, m)))
+    return post, chi, signature
 
 
 def rigorous_mu_oracle(graph):

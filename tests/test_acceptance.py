@@ -10,6 +10,7 @@ import random
 from conftest import (
     FLAT_BATTERY,
     NONFLAT_BATTERY,
+    assert_mu_matches,
     lattes_expr,
     mu_oracle,
     random_separable_map,
@@ -183,13 +184,7 @@ def test_criterion_06_mu_oracle_equivalence():
             graph = postcritical_graph(sig_p)
             if graph.field.order > 49:
                 continue
-            mu = mu_compute(graph)
-            oracle = mu_oracle(graph)
-            for v in graph.vertices:
-                assert mu[v] == oracle[v], f"{expr} mod {p}: mu({v})"
-            for v, value in oracle.items():
-                if v not in graph.edges:
-                    assert value == 1
+            assert_mu_matches(graph, mu_compute(graph), mu_oracle(graph), f"{expr} mod {p}")
             checked += 1
     assert checked >= 12
     print(f"\nACCEPTANCE 6: PASS - mu matches the brute-force preimage-chain oracle "

@@ -6,8 +6,10 @@ import pytest
 from conftest import lattes_expr
 
 from flatlab import P1Point, p1_eval, parse_ratfunc, rationals
+from flatlab import cli
 from flatlab.cli import _char0_report, main, run_classify
 from flatlab.dynamics import _escape_bits
+from flatlab.errors import BadWeight, DivisionByZero
 
 
 def run(capsys, *argv):
@@ -72,6 +74,31 @@ def test_classify_reports_bad_primes(capsys):
     by_p = {item["p"]: item for item in doc["primes"]}
     assert not by_p[2]["good"] and not by_p[3]["good"]
     assert by_p[5]["good"] and by_p[7]["good"]
+
+
+@pytest.mark.parametrize("stage, name, exc", [
+    ("orbifold", "postcritical_graph", RuntimeError("walk guard (internal)")),
+    ("search", "invariant_search", BadWeight("no weight here")),
+    ("orbifold", "mu_compute", DivisionByZero("inverse of zero")),
+])
+def test_classify_records_a_failing_prime(monkeypatch, stage, name, exc):
+    # a failure at one prime is recorded for that prime; the sweep goes on
+    real = getattr(cli, name)
+
+    def fail_at_13(*args, **kwargs):
+        if args[0].field.p == 13:  # the map, or the graph, at p = 13
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, fail_at_13)
+    report = run_classify("t^2-2", 5, 50)
+    by_p = {item["p"]: item for item in report["primes"]}
+    reason = f"{stage}: {type(exc).__name__}: {exc}"
+    assert by_p[13] == {"p": 13, "good": False, "reason": reason}
+    assert all(item["good"] for p, item in by_p.items() if p != 13)
+    counts = report["verdict"]["counts"]
+    assert (counts["good"], counts["bad"], counts["primes_with_forms"]) == (12, 1, 12)
+    assert report["verdict"]["label"] == "flat-candidate"
 
 
 def test_classify_deterministic_and_parallel(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import lattes_expr, preimages, random_separable_map
+from conftest import lattes_expr, postcritical_points, preimages, random_separable_map
 
 from flatlab import cli
 
@@ -17,6 +17,7 @@ from flatlab import (
     ram_index,
     rationals,
 )
+from flatlab.dynamics import _ResidueWalk, frobenius_class, vertex_key, vertex_point
 from flatlab.errors import BadCharacteristic, Inseparable
 
 F5 = field_create(5)
@@ -176,28 +177,58 @@ def test_fiber_count_in_splitting_field():
 
 # ---------------------------------------------------------------- orbit graph
 
+def point_graph(expr, field):
+    """Edges and postcritical set by point, for a graph over F_p itself."""
+    g = postcritical_graph(parse_ratfunc(expr, field))
+    assert g.field == field
+    edges = {g.point(v): g.point(w) for v, w in g.edges.items()}
+    return g, edges, postcritical_points(g)
+
+
 def test_graph_power_map():
-    g = postcritical_graph(parse_ratfunc("t^2", F7))
-    assert [str(v) for v in g.vertices] == ["0", "inf"]
-    assert g.edges[pt(F7, 0)] == pt(F7, 0)
-    assert g.edges[INFINITY] == INFINITY
-    assert g.postcritical == {pt(F7, 0), INFINITY}
+    g, edges, post = point_graph("t^2", F7)
+    assert [str(g.point(v)) for v in g.vertices] == ["0", "inf"]
+    assert edges[pt(F7, 0)] == pt(F7, 0)
+    assert edges[INFINITY] == INFINITY
+    assert post == {pt(F7, 0), INFINITY}
 
 
 def test_graph_chebyshev_orbit():
-    g = postcritical_graph(parse_ratfunc("t^2-2", F7))
-    assert g.edges[pt(F7, 0)] == pt(F7, 5)  # -2 = 5 mod 7
-    assert g.edges[pt(F7, 5)] == pt(F7, 2)
-    assert g.edges[pt(F7, 2)] == pt(F7, 2)
-    assert g.postcritical == {pt(F7, 5), pt(F7, 2), INFINITY}
+    _, edges, post = point_graph("t^2-2", F7)
+    assert edges[pt(F7, 0)] == pt(F7, 5)  # -2 = 5 mod 7
+    assert edges[pt(F7, 5)] == pt(F7, 2)
+    assert edges[pt(F7, 2)] == pt(F7, 2)
+    assert post == {pt(F7, 5), pt(F7, 2), INFINITY}
 
 
 def test_graph_cycle():
-    g = postcritical_graph(parse_ratfunc("t^2+1", F5))
-    assert g.edges[pt(F5, 0)] == pt(F5, 1)
-    assert g.edges[pt(F5, 1)] == pt(F5, 2)
-    assert g.edges[pt(F5, 2)] == pt(F5, 0)
-    assert g.postcritical == {pt(F5, 0), pt(F5, 1), pt(F5, 2), INFINITY}
+    _, edges, post = point_graph("t^2+1", F5)
+    assert edges[pt(F5, 0)] == pt(F5, 1)
+    assert edges[pt(F5, 1)] == pt(F5, 2)
+    assert edges[pt(F5, 2)] == pt(F5, 0)
+    assert post == {pt(F5, 0), pt(F5, 1), pt(F5, 2), INFINITY}
+
+
+@pytest.mark.parametrize("expr,p,k", [
+    ("(t^4+t+1)/(t^2+3)", 5, 4), ("t^6+t^5+2*t+3", 1009, 2), ("1/t^2", 7, 1), ("(t^3+2)/(t^2+1)", 11, 3),
+])
+def test_residue_walk_matches_p1_eval(expr, p, k):
+    # sigma on packed points against FFElem evaluation, and each point's
+    # class against its Frobenius conjugates; at p = 1009 the Kronecker
+    # slots are wider than 8 bytes
+    ext = field_create(p, k)
+    sigma = parse_ratfunc(expr, field_create(p)).lift_to(ext)
+    walk = _ResidueWalk(sigma)
+    rng = random.Random(p)
+    points = [INFINITY, P1Point(ext.zero)] + [P1Point(ext.elem_from_index(rng.randrange(ext.order))) for _ in range(40)]
+    points += [P1Point(ext.elem(a)) for a in range(min(p, 8))]
+    for point in points:
+        key = vertex_key(ext, point)
+        assert vertex_point(ext, key) == point
+        assert walk.step(key) == vertex_key(ext, p1_eval(sigma, point))
+        rep, size = walk.canon(key)
+        conjugates = frobenius_class(ext, key)
+        assert (rep, size) == (vertex_key(ext, conjugates[0]), len(conjugates))
 
 
 def _char0_graph(expr, monkeypatch):
@@ -222,14 +253,22 @@ def test_graph_functional_and_closed(monkeypatch):
         ]
     ]
     graphs += [_char0_graph(expr, monkeypatch) for expr in ("t^2-2", "t^2-1", "t^3", "1/t^2")]
+    graphs.append(postcritical_graph(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11))))  # F(11^5)
     assert graphs[2].field.k == graphs[5].field.k == 2
     for g in graphs:
         for v in g.vertices:
             assert g.edges[v] in g.edges  # closed under the edge map
-            assert g.weights[v] == ram_index(g.sigma, v)  # read off the critical locus
+            image = frobenius_class(g.field, g.edges[v])
+            points = frobenius_class(g.field, v)
+            assert len(points) == g.size(v)
+            assert g.point(v) == points[0]  # the point_key-least conjugate
+            for point in points:
+                assert p1_eval(g.sigma, point) in image
+                # read off the critical locus
+                assert g.weights.get(v, 1) == ram_index(g.sigma, point)
         reachable = set()
         for c in g.critical:
-            v = g.edges[c.point]
+            v = g.edges[c]
             while v not in reachable:
                 reachable.add(v)
                 v = g.edges[v]

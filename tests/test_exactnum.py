@@ -5,7 +5,18 @@ import pytest
 
 from flatlab import field_create, is_prime, mat_kernel, rationals
 from flatlab.errors import DivisionByZero, FieldMismatch, NotPrime
-from flatlab.exactnum import _KRONECKER_MIN_LEN, _gf_gcd, _gf_irreducible, _gf_mul
+from flatlab import exactnum
+from flatlab.exactnum import (
+    _KRONECKER_MIN_LEN,
+    FFElem,
+    _GFMatrix,
+    _find_modulus,
+    _gf_gcd,
+    _gf_inv_mod,
+    _gf_irreducible,
+    _gf_mul,
+    _gf_trim,
+)
 
 
 def test_field_create_prime_field():
@@ -40,6 +51,35 @@ def test_field_create_deterministic():
     # frozen: the first lexicographic irreducible quadratics
     assert field_create(5, 2).modulus == (1, 1, 1)
     assert field_create(7, 2).modulus == (1, 0, 1)
+
+
+# the first lexicographic irreducible moduli of the extensions the default
+# sweep 5..50 reaches, frozen so that every printed element stays the same
+PINNED_MODULI = {
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (13, 4): (1, 0, 0, 1, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (7, 6): (1, 0, 0, 0, 1, 0, 1),
+    (11, 5): (1, 0, 0, 0, 2, 1),
+    (17, 4): (1, 0, 0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_MODULI))
+def test_field_create_pinned_moduli(p, k):
+    assert _find_modulus(p, k) == PINNED_MODULI[(p, k)]
+
+
+def test_modulus_search_skips_multiples_of_x(monkeypatch):
+    # a candidate with c_0 = 0 is divisible by x, so the search never tests
+    # one: (7, 6) takes 8 Rabin tests, against 16815 from c_0 = 0 on
+    calls = []
+    real = exactnum._gf_irreducible
+    monkeypatch.setattr(exactnum, "_gf_irreducible", lambda f, p: calls.append(f) or real(f, p))
+    assert _find_modulus(7, 6) == PINNED_MODULI[(7, 6)]
+    assert len(calls) == 8
+    assert all(f[0] for f in calls)
 
 
 def test_prime_field_arithmetic():
@@ -145,6 +185,28 @@ def test_gf_mul_matches_schoolbook(p):
                 assert _gf_mul(a, b, p) == _schoolbook_mul(a, b, p), (la, lb)
         a = [p - 1] * la
         assert _gf_mul(a, a, p) == _schoolbook_mul(a, a, p), la
+
+
+@pytest.mark.parametrize("p", [5, 97, 2 ** 61 - 1])
+def test_gf_matrix_matches_dot_products(p):
+    # slots of 1 to 8 bytes pack through array; p = 2^61 - 1 needs wider ones
+    rng = random.Random(p)
+    for nrows, n in [(1, 1), (3, 5), (20, 5), (5, 29)]:
+        rows = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(n)] for _ in range(nrows)]
+        matrix = _GFMatrix(rows, p, p - 1)
+        for _ in range(5):
+            v = [rng.choice((rng.randrange(p), p - 1)) for _ in range(n)]
+            assert matrix(matrix.pack(v)) == [sum(r * x for r, x in zip(row, v)) % p for row in rows]
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 6), (47, 5), (10007, 3)])
+def test_gf_inv_mod_inverts(p, k):
+    F = field_create(p, k)
+    rng = random.Random(p)
+    for _ in range(20):
+        a = F.elem_from_index(rng.randrange(1, F.order))
+        inv = _gf_inv_mod(_gf_trim(list(a.coeffs)), list(F.modulus), p)
+        assert (a * FFElem(F, tuple(inv) + (0,) * (k - len(inv)))) == F.one
 
 
 def test_kernel_zero_matrix():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from flatlab import (
     p1_eval,
     parse_ratfunc,
     orbifold_data,
+    poly_factor,
+    poly_roots,
     postcritical_graph,
     reduce_mod_p,
     ram_index,
@@ -99,23 +102,26 @@ def test_ord_examples():
 
 
 def test_total_divisor_degree():
-    # sum of orders over a splitting field equals -2 * weight
+    # sum of orders over P^1 of a splitting field equals -2 * weight; off
+    # the roots of the numerator and denominator the order is 0, so the sum
+    # runs over those roots and infinity
     cases = [form("1/t^4", 4, F5), form("1/(t^2-4)^3", 6, F7),
              form("(t^2+1)/(t^3+2*t+1)", 3, F7), form("t^3+t+1", -2, F5),
              invariant_search(parse_ratfunc("t^2-2", F7), 6)[0]]
     for w in cases:
         field = w.field
-        k = 1
-        from flatlab import poly_factor
-        for g, _ in poly_factor(w.func.num) + poly_factor(w.func.den):
-            import math
-            k = math.lcm(k, g.degree)
+        factors = poly_factor(w.func.num) + poly_factor(w.func.den)
+        k = math.lcm(1, *(g.degree for g, _ in factors))
         ext = field_create(field.p, k) if k > 1 else field
         lifted = TupleForm(w.func.lift_to(ext), w.weight)
-        total = form_ord(lifted, INFINITY)
-        for a in ext.elements():
-            total += form_ord(lifted, P1Point(a))
+        roots = {P1Point(a) for g, _ in factors for a, _ in poly_roots(g.lift_to(ext))}
+        assert len(roots) == sum(g.degree for g, _ in factors)
+        total = form_ord(lifted, INFINITY) + sum(form_ord(lifted, pt) for pt in roots)
         assert total == -2 * w.weight
+        for a in field.elements():
+            pt = P1Point(ext.lift(a))
+            if pt not in roots:
+                assert form_ord(lifted, pt) == 0
 
 
 def test_pullback_order_identity_smoke():
@@ -268,7 +274,7 @@ def _uniform_search(sigma, weight, data):
     """The search with every pole capped at the weight and deg g = deg h."""
     p = sigma.field.p
     h = [1]
-    for minpoly, _ in _pole_orbits(data, p):
+    for minpoly, _ in _pole_orbits(data):
         for _ in range(weight):
             h = _gf_mul(h, list(minpoly), p)
     return _solve(sigma, weight, h, len(h) - 1)

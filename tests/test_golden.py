@@ -23,10 +23,13 @@ CASES = {
     "classify-t2p1": ["classify", "t^2+1", "--primes", "5..30"],
     "classify-t2p1-over-t": ["classify", "(t^2+1)/t", "--primes", "5..30"],
     "classify-lattes-char0": ["classify", LATTES, "--primes", "11..30", "--char0"],
+    "classify-t4t1-over-t2p3": ["classify", "(t^4+t+1)/(t^2+3)", "--primes", "5..50"],
+    "classify-t6t5t3": ["classify", "t^6+t^5+2*t+3", "--primes", "5..50"],
     "orbifold-t3t1-p5": ["orbifold", "t^3+t+1", "--p", "5"],
     "orbifold-t3t1-p7": ["orbifold", "t^3+t+1", "--p", "7"],
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],
     "orbifold-lattes-p13": ["orbifold", LATTES, "--p", "13"],
+    "orbifold-t4t1-over-t2p3-p11": ["orbifold", "(t^4+t+1)/(t^2+3)", "--p", "11"],
 }
 
 

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mu_oracle, preimages
+from conftest import (
+    assert_mu_matches,
+    lattes_expr,
+    mu_oracle,
+    pointwise_orbifold,
+    postcritical_points,
+    preimages,
+)
 
 from flatlab import (
     INFINITY,
@@ -29,8 +36,10 @@ def pt(field, a):
 
 
 def mu_of(expr, field):
+    """The graph, and mu by point (every class is one point over F_p)."""
     g = postcritical_graph(parse_ratfunc(expr, field))
-    return g, mu_compute(g)
+    assert g.field == field
+    return g, {g.point(v): m for v, m in mu_compute(g).items()}
 
 
 # ---------------------------------------------------------------- mu examples
@@ -70,13 +79,39 @@ def test_mu_matches_bruteforce_oracle(expr, p):
     g = postcritical_graph(parse_ratfunc(expr, field_create(p)))
     if g.field.order > 49:
         pytest.skip("oracle is exhaustive only for field size <= 49")
-    mu = mu_compute(g)
-    oracle = mu_oracle(g)
-    for v in g.vertices:
-        assert mu[v] == oracle[v], f"mu({v}) = {mu[v]} but oracle says {oracle[v]}"
-    for v, value in oracle.items():
-        if v not in g.edges:
-            assert value == 1  # off the postcritical set mu is 1
+    assert_mu_matches(g, mu_compute(g), mu_oracle(g), f"{expr} mod {p}")
+
+
+# ---------------------------------------------------------------- Frobenius quotient
+
+QUOTIENT_CASES = [
+    ("(t^4+t+1)/(t^2+3)", 11), ("(t^4+t+1)/(t^2+3)", 17), ("t^6+t^5+2*t+3", 7),
+    ("t^3+t+1", 5), ("t^3+t+1", 7), (lattes_expr(), 13),
+]
+
+
+@pytest.mark.parametrize("expr,p", QUOTIENT_CASES)
+def test_quotient_graph_matches_pointwise_walk(expr, p):
+    # the library walks one vertex per Frobenius class; the oracle walks
+    # every point with FFElem arithmetic and runs the mu scan on that graph
+    sigma = parse_ratfunc(expr, field_create(p))
+    post, chi, signature = pointwise_orbifold(sigma)
+    g = postcritical_graph(sigma)
+    data = orbifold_data(g)
+    assert data.points() == post
+    assert data.chi == chi
+    assert parabolic_signature(data).signature == signature
+    assert sum(data.size(v) for v in data.postcritical) == len(post)
+
+
+def test_quotient_graph_is_smaller_in_an_extension():
+    # (t^4+t+1)/(t^2+3) mod 11: 556 postcritical points in F(11^5), which
+    # the graph holds as classes of five conjugates (infinity alone)
+    g = postcritical_graph(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11)))
+    assert g.field.k == 5
+    post = postcritical_points(g)
+    assert len(post) == 556 == sum(g.size(v) for v in g.postcritical)
+    assert len(g.postcritical) < len(post) / 4
 
 
 # ---------------------------------------------------------------- minimality
@@ -85,10 +120,8 @@ def test_mu_matches_bruteforce_oracle(expr, p):
 def test_mu_is_smallest_admissible(expr, p):
     field = field_create(p)
     sigma = parse_ratfunc(expr, field)
-    g = postcritical_graph(sigma)
-    assert g.field == field  # chosen instances split over F_p
-    mu = mu_compute(g)
-    post = sorted(g.postcritical, key=lambda v: (v.is_infinity,))
+    g, mu = mu_of(expr, field)  # chosen instances split over F_p
+    post = sorted(postcritical_points(g), key=lambda v: (v.is_infinity,))
 
     pre = {}
     for A in post:
@@ -139,12 +172,9 @@ def test_mu_is_smallest_admissible(expr, p):
 # ---------------------------------------------------------------- chi and signatures
 
 def test_chi_examples():
-    g, mu = mu_of("t^2", F7)
-    assert euler_char(mu, g.postcritical) == 0
-    g, mu = mu_of("t^2-2", F7)
-    assert euler_char(mu, g.postcritical) == 0
-    g, mu = mu_of("t^2+1", F5)
-    assert euler_char(mu, g.postcritical) == Fraction(-2)
+    for expr, field, chi in [("t^2", F7, 0), ("t^2-2", F7, 0), ("t^2+1", F5, Fraction(-2))]:
+        g = postcritical_graph(parse_ratfunc(expr, field))
+        assert euler_char(mu_compute(g), g) == chi
 
 
 def test_chi_is_exact_rational():
@@ -177,7 +207,7 @@ def test_postcritical_stable_under_iteration():
             continue
         g1 = postcritical_graph(sigma)
         g2 = postcritical_graph(sigma.compose(sigma))
-        assert {str(v) for v in g1.postcritical} == {str(v) for v in g2.postcritical}
+        assert {str(v) for v in postcritical_points(g1)} == {str(v) for v in postcritical_points(g2)}
         assert orbifold_data(g1).chi == orbifold_data(g2).chi
 
 
@@ -245,9 +275,6 @@ def test_mu_oracle_random_maps():
         g = postcritical_graph(sig)
         if g.field.order > 49:
             continue
-        mu = mu_compute(g)
-        oracle = rigorous_mu_oracle(g)
-        for v in g.vertices:
-            assert mu[v] == oracle[v], (str(sig), p, str(v))
+        assert_mu_matches(g, mu_compute(g), rigorous_mu_oracle(g), f"{sig} mod {p}")
         checked += 1
     assert checked == 60
