@@ -68,7 +68,8 @@ def _prime_factors(n):
 # no trailing zeros ([] is the zero polynomial), every coefficient in
 # range(p).  This is the one F_p arithmetic path: it backs the modulus
 # search, FFElem arithmetic in extensions, prime-field Poly products,
-# division and gcd, RatFunc.compose over F_p and the invariant-form search.
+# division and gcd, and over F_p the homogenized substitution behind
+# RatFunc.compose, form pullback and the invariance check (ratfunc._Horner).
 # ----------------------------------------------------------------------
 
 def _gf_trim(a):

@@ -1,6 +1,7 @@
 """Tuple differential forms f(t) (dt)^nu on P^1: pullback, local orders,
 invariance and semi-invariance certification, weight reduction, and the
-linear-algebra search for invariant forms mod p.
+search for invariant forms mod p, decided by one invariance check at the
+weight the orbifold predicts.
 
 A form is invariant for sigma when f(sigma(t)) (sigma'(t))^nu = f(t),
 i.e. the pullback fixes it; semi-invariant when the pullback scales it by
@@ -9,6 +10,7 @@ a nonzero constant lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
@@ -23,7 +25,7 @@ from .exactnum import (
 )
 from .dynamics import INFINITY, P1Point, postcritical_graph, vertex_key
 from .orbifold import MU_INFINITY, orbifold_data
-from .ratfunc import Poly, RatFunc, _poly_pth_root, root_multiplicity
+from .ratfunc import Poly, RatFunc, _Horner, _poly_pth_root, root_multiplicity
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,44 @@ def form_mul(a: TupleForm, b: TupleForm) -> TupleForm:
     return TupleForm(a.func * b.func, a.weight + b.weight)
 
 
-def form_pullback(sigma: RatFunc, omega: TupleForm) -> TupleForm:
-    """sigma^* omega = f(sigma(t)) (sigma'(t))^weight (dt)^weight."""
+def _pullback_sides(sigma: RatFunc, omega: TupleForm):
+    """(h, A, B) with sigma^* omega = (A/B) (dt)^weight, where h is the
+    _Horner of sigma and A, B are in its representation; no gcd is taken.
+
+    With sigma = P/Q, f = N/D, W = P'Q - PQ' and Xhat = Q^(deg X) X(P/Q),
+    f(sigma) = Nhat Q^(deg D) / (Dhat Q^(deg N)) and sigma' = W/Q^2, so
+    A = Nhat Q^(deg D) W^w and B = Dhat Q^(deg N + 2w) up to the common
+    power of Q, which is cancelled; W^(-w) goes into B when w < 0.
+    """
     if sigma.field != omega.field:
         raise FieldMismatch(f"{sigma.field} vs {omega.field}")
     if sigma.is_constant:
         raise ValueError("pullback along a constant map")
-    der = sigma.derivative()
-    if der.is_zero:
+    P, Q = sigma.num, sigma.den
+    wron = P.derivative() * Q - P * Q.derivative()
+    if wron.is_zero:
         raise Inseparable("pullback along an inseparable map")
-    return TupleForm(omega.func.compose(sigma) * der ** omega.weight, omega.weight)
+    N, D, w = omega.func.num, omega.func.den, omega.weight
+    h = _Horner(sigma, max(N.degree, D.degree))
+    A = h.hom(h.lift(N), N.degree)
+    B = h.hom(h.lift(D), D.degree)
+    shift = D.degree - N.degree - 2 * w
+    if shift > 0:
+        A = h.mul(A, h.power(h.Q, shift))
+    elif shift < 0:
+        B = h.mul(B, h.power(h.Q, -shift))
+    wpow = h.power(h.lift(wron), abs(w))
+    if w > 0:
+        A = h.mul(A, wpow)
+    else:
+        B = h.mul(B, wpow)
+    return h, A, B
+
+
+def form_pullback(sigma: RatFunc, omega: TupleForm) -> TupleForm:
+    """sigma^* omega = f(sigma(t)) (sigma'(t))^weight (dt)^weight."""
+    h, A, B = _pullback_sides(sigma, omega)
+    return TupleForm(RatFunc(h.poly(A), h.poly(B)), omega.weight)
 
 
 def form_ord(omega: TupleForm, pt: P1Point) -> int:
@@ -102,20 +132,20 @@ class InvarianceResult:
 
 
 def invariance_check(sigma: RatFunc, omega: TupleForm) -> InvarianceResult:
-    """Decide sigma^* omega = lambda * omega by exact division.
+    """Decide sigma^* omega = lambda * omega by one exact comparison.
 
-    The quotient (sigma^* omega)/omega is computed as a rational function;
-    semi-invariance holds exactly when it is a nonzero constant, and
-    invariance when that constant is 1.  No point sampling.
+    With sigma^* omega = (A/B) (dt)^weight from _pullback_sides and
+    f = N/D, semi-invariance is A D = lambda B N: lambda is the ratio of
+    the leading coefficients, and the check compares the two products
+    coefficient by coefficient.  Invariance is lambda = 1.  No gcd and no
+    point sampling.
     """
     if omega.is_zero:
         raise ValueError("invariance of the zero form")
-    pulled = form_pullback(sigma, omega)
-    quot = pulled.func / omega.func
-    if quot.is_constant:
-        lam = quot.constant_value()
-        return InvarianceResult(invariant=(lam == omega.field.one), lam=lam)
-    return InvarianceResult(invariant=False, lam=None)
+    h, A, B = _pullback_sides(sigma, omega)
+    f = omega.func
+    lam = h.ratio(h.mul(A, h.lift(f.den)), h.mul(B, h.lift(f.num)))
+    return InvarianceResult(invariant=(lam == omega.field.one), lam=lam)
 
 
 def weight_reduce(sigma: RatFunc, omega: TupleForm, lam) -> TupleForm:
@@ -149,7 +179,7 @@ def weight_reduce(sigma: RatFunc, omega: TupleForm, lam) -> TupleForm:
 
 
 # ----------------------------------------------------------------------
-# Linear search for invariant forms
+# Search for invariant forms
 # ----------------------------------------------------------------------
 
 def _pole_cap(mu, weight):
@@ -173,7 +203,7 @@ def _pole_orbits(orbifold):
 def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     """Invariant forms of the given positive weight: [] or one form.
 
-    The bounds come from the orbifold (computed when omitted): an invariant
+    The orbifold (computed when omitted) bounds the poles: an invariant
     omega = f (dt)^weight has ord_A(omega) >= -weight (1 - 1/mu(A)) at every
     point A of P^1, infinity included.  No invariant form is lost: when
     sigma(B) = A with local degree e, ord_B(sigma^* omega) = e ord_A(omega)
@@ -181,16 +211,29 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     step; a backward chain from A reaches a point off the divisor of omega,
     where ord + weight = weight, through a ramification product E dividing
     mu(A), so ord_A(omega) + weight = weight / E >= weight / mu(A) (and a
-    pole above the weight would spread to infinitely many points).  Hence
-    f = g/h with h the product over finite postcritical Frobenius orbits of
-    the minimal polynomial to the power weight - ceil(weight/mu) (weight
-    when mu = inf), and deg g <= deg h - 2 weight + cap(inf), the same cap
-    at infinity (0 when infinity is not postcritical).
+    pole above the weight would spread to infinitely many points).
 
-    Returns [] when that numerator bound is negative.  Two invariant forms
-    of one weight differ by an invariant function, which is constant, so
-    at most one form comes back: canonicalized (numerator monic) and
-    rechecked with invariance_check.
+    An invariant form forces a parabolic orbifold (weight reduction plus
+    the genus dichotomy), so the search returns [] unless chi = 0.  At
+    chi = 0 the pole caps, summed over the postcritical points, come to
+    at most weight (2 - chi) = 2 weight, while the divisor of a weight-w
+    form has degree -2w; so the caps must be met exactly.  That happens
+    only when every finite mu divides w, that is when nu, the lcm of the
+    finite mu (1 when there are none), divides w, and then the only
+    candidate is c/h_w with h_w the product over finite postcritical
+    Frobenius classes of the minimal polynomial to the power of its cap
+    (w - w/mu, or w when mu = inf).  The caps scale with w, so
+    h_w = h_nu^(w/nu).  With m = w/nu and omega_nu = (1/h_nu) (dt)^nu,
+    sigma^*(omega_nu^m) = (sigma^* omega_nu)^m, so the candidate is
+    invariant exactly when sigma^* omega_nu = lambda omega_nu with
+    lambda^m = 1.  Nothing is missed when the check at weight nu finds no
+    lambda: if omega_nu^m is invariant, the ratio of sigma^* omega_nu to
+    omega_nu lies in F_p(t) and has m-th power 1, so it is a constant.
+    Hence one invariance_check at weight nu decides every weight.
+
+    Two invariant forms of one weight differ by an invariant function,
+    which is constant, so at most one form comes back: 1/h_w (numerator
+    monic), rechecked with invariance_check.
     """
     field = sigma.field
     if field.is_rationals or field.k != 1:
@@ -204,20 +247,36 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
         raise ValueError("search needs degree >= 2")
     if orbifold is None:
         orbifold = orbifold_data(postcritical_graph(sigma))
-    h_int = [1]
-    for minpoly, mu in _pole_orbits(orbifold):
-        for _ in range(_pole_cap(mu, weight)):
-            h_int = _gf_mul(h_int, list(minpoly), p)
-    cap_inf = _pole_cap(orbifold.mu.get(vertex_key(orbifold.field, INFINITY), 1), weight)
-    deg_g = len(h_int) - 1 - 2 * weight + cap_inf
-    if deg_g < 0:
+    if orbifold.chi != 0:
         return []
-    return _solve(sigma, weight, h_int, deg_g)
+    orbits = _pole_orbits(orbifold)
+    mus = [mu for _, mu in orbits] + [orbifold.mu.get(vertex_key(orbifold.field, INFINITY), 1)]
+    nu = math.lcm(*(mu for mu in mus if mu != MU_INFINITY))
+    if weight % nu:
+        return []
+    h_nu = [1]
+    for minpoly, mu in orbits:
+        for _ in range(_pole_cap(mu, nu)):
+            h_nu = _gf_mul(h_nu, list(minpoly), p)
+    lam = invariance_check(sigma, _inverse_form(field, h_nu, nu)).lam
+    if lam is None or lam ** (weight // nu) != field.one:
+        return []
+    form = _inverse_form(field, _gf_pow_int(h_nu, weight // nu, p), weight)
+    if not invariance_check(sigma, form).invariant:
+        raise RuntimeError("search produced a non-invariant form (internal)")
+    return [form]
+
+
+def _inverse_form(field, h, weight):
+    """(1/h) (dt)^weight for a monic residue list h."""
+    return TupleForm(RatFunc(Poly.one(field), Poly._from_residues(field, h)), weight)
 
 
 def _solve(sigma, weight, h_int, deg_g):
     """Invariant forms g/h (dt)^weight with h = h_int and deg g <= deg_g,
-    where deg_g >= deg h - 2 weight.
+    where deg_g >= deg h - 2 weight: a linear search over every numerator
+    the bounds allow, kept as the tests' oracle for invariant_search (with
+    the orbifold's pole caps or wider ones).
 
     The invariance equation f(sigma) (sigma')^weight = f with f = g/h
     becomes, after clearing denominators, a linear system in the

@@ -30,7 +30,7 @@ from .exactnum import (
     _gf_divmod,
     _gf_gcd,
     _gf_mul,
-    _gf_powers,
+    _gf_pow_int,
     _hom_eval,
     _prime_factors,
     field_create,
@@ -407,12 +407,21 @@ class RatFunc:
             return NotImplemented
         return o / self
 
+    @classmethod
+    def _coprime(cls, num, den):
+        # trusted path: num and den coprime, den monic (den = 1 when num = 0)
+        obj = object.__new__(cls)
+        obj.num = num
+        obj.den = den
+        return obj
+
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return self.reciprocal() ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+        # powers of coprime polynomials are coprime: no gcd
+        return RatFunc._coprime(self.num ** e, self.den ** e)
 
     def reciprocal(self):
         if self.is_zero:
@@ -426,36 +435,16 @@ class RatFunc:
 
     def compose(self, inner):
         """self after inner; clears denominators by Horner homogenization
-        (over F_p on residue lists, through exactnum._hom_eval)."""
+        (_Horner: over F_p on residue lists, through exactnum._hom_eval)."""
         o = self._coerce(inner)
         if o is None:
             raise TypeError("compose expects a rational function")
         m = max(self.num.degree, self.den.degree, 0)
-        field = self.field
-        if self.num._over_prime_field:
-            p = field.p
-            P = o.num._residues()
-            qpow = _gf_powers(o.den._residues(), m, p)
-
-            def hom(f):
-                return Poly._from_residues(field, _hom_eval(f._residues(), P, qpow, p))
-
-        else:
-            P, Q = o.num, o.den
-            qpow = [Poly.one(field)]
-            for _ in range(m):
-                qpow.append(qpow[-1] * Q)
-
-            def hom(f):
-                acc = Poly.zero(field)
-                for i in range(m, -1, -1):
-                    acc = acc * P + qpow[m - i].scale(f.coeff(i))
-                return acc
-
-        den = hom(self.den)
+        h = _Horner(o, m)
+        den = h.poly(h.hom(h.lift(self.den), m))
         if den.is_zero:
             raise DivisionByZero("composition evaluates to the constant infinity")
-        return RatFunc(hom(self.num), den)
+        return RatFunc(h.poly(h.hom(h.lift(self.num), m)), den)
 
     def conjugate(self, phi):
         """phi o self o phi^{-1} for a Moebius map phi = (a t + b)/(c t + d)."""
@@ -485,6 +474,58 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self} over {self.field})"
+
+
+class _Horner:
+    """Homogenized substitution along inner = P/Q: hom(f, m) = Q^m f(P/Q)
+    for deg f <= m <= top, by Horner in P over precomputed powers of Q.
+
+    Over F_p the polynomials are residue lists and the arithmetic is
+    exactnum's _gf_* layer; over Q and F_{p^k} they are Poly.  lift and
+    poly convert to and from that representation, and mul, power and
+    ratio work in it, so callers keep one code path for every field.
+    """
+
+    __slots__ = ("field", "p", "P", "Q", "qpow")
+
+    def __init__(self, inner, top):
+        self.field = inner.field
+        self.p = inner.field.p if inner.num._over_prime_field else 0
+        self.P, self.Q = self.lift(inner.num), self.lift(inner.den)
+        self.qpow = [self.lift(Poly.one(self.field))]
+        for _ in range(top):
+            self.qpow.append(self.mul(self.qpow[-1], self.Q))
+
+    def lift(self, f):
+        return f._residues() if self.p else f
+
+    def poly(self, a):
+        return Poly._from_residues(self.field, a) if self.p else a
+
+    def mul(self, a, b):
+        return _gf_mul(a, b, self.p) if self.p else a * b
+
+    def power(self, a, e):
+        return _gf_pow_int(a, e, self.p) if self.p else a ** e
+
+    def hom(self, f, m):
+        """Q^m f(P/Q) for a lifted f of degree at most m."""
+        if self.p:
+            return _hom_eval(f, self.P, self.qpow[:m + 1], self.p)
+        acc = Poly.zero(self.field)
+        for i in range(m, -1, -1):
+            acc = acc * self.P + self.qpow[m - i].scale(f.coeff(i))
+        return acc
+
+    def ratio(self, a, b):
+        """The constant lam with a = lam b, as a field element, or None
+        when a is not a constant multiple of b (a, b lifted and nonzero)."""
+        if self.p:
+            p = self.p
+            lam = a[-1] * pow(b[-1], -1, p) % p
+            return self.field.elem(lam) if a == [c * lam % p for c in b] else None
+        lam = a.lc() / b.lc()
+        return lam if a == b.scale(lam) else None
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_separable_map
 
 from flatlab import (
+    EllipticCurve,
     INFINITY,
     P1Point,
     Poly,
@@ -29,9 +30,11 @@ from flatlab import (
     rationals,
     weight_reduce,
 )
-from flatlab.errors import BadPrime, BadWeight, Inseparable, NotSemiInvariant
+from flatlab import atlas, dynamics, exactnum, forms, orbifold, ratfunc
+from flatlab.dynamics import vertex_key
+from flatlab.errors import BadPrime, BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from flatlab.exactnum import _gf_mul
-from flatlab.forms import _pole_orbits, _solve
+from flatlab.forms import InvarianceResult, _pole_cap, _pole_orbits, _solve
 
 Q = rationals()
 F5 = field_create(5)
@@ -163,6 +166,103 @@ def test_semi_invariance_power_strips_lambda():
     w = form("1/t", 1, F7)
     res = invariance_check(sig, form_power(w, 6))
     assert res.invariant
+
+
+def _chain_rule_pullback(sigma, omega):
+    """sigma^* omega by composition and the chain rule in RatFunc arithmetic."""
+    return TupleForm(omega.func.compose(sigma) * sigma.derivative() ** omega.weight, omega.weight)
+
+
+def _quotient_check(pulled, omega):
+    """The check by exact division: divide the pullback by omega and read
+    lambda off a constant quotient."""
+    quot = pulled.func / omega.func
+    lam = quot.constant_value() if quot.is_constant else None
+    return InvarianceResult(invariant=(lam == omega.field.one), lam=lam)
+
+
+def _draw(rng, field):
+    if field.is_rationals:
+        return rng.randrange(-3, 4)
+    return field.elem_from_index(rng.randrange(field.order))
+
+
+def _random_func(rng, field, max_deg):
+    while True:
+        num = Poly(field, [_draw(rng, field) for _ in range(rng.randrange(1, max_deg + 2))])
+        den = Poly(field, [_draw(rng, field) for _ in range(rng.randrange(1, max_deg + 2))])
+        if not num.is_zero and not den.is_zero:
+            return RatFunc(num, den)
+
+
+@pytest.mark.parametrize("field", [field_create(13), field_create(11, 2), Q], ids=["F13", "F121", "Q"])
+def test_invariance_check_matches_quotient_oracle(field):
+    # invariant and semi-invariant families and random forms, weights +-1..+-6
+    rng = random.Random(field.order if field.p else 0)
+    max_deg = 2 if field.is_rationals else 3  # Euclid over Q in the oracle swells fast
+    t = RatFunc.gen(field)
+    lattes = atlas.lattes_map(EllipticCurve(field, field.one, field.zero), 2)
+    families = [
+        (parse_ratfunc("1/t", field), TupleForm(1 / t, 1)),  # lambda = -1
+        (parse_ratfunc("t^3", field), TupleForm(1 / t, 1)),  # lambda = 3
+        (parse_ratfunc("t^2-2", field), TupleForm(1 / parse_ratfunc("t^2-4", field), 2)),  # lambda = 4
+        (lattes.sigma, lattes.form),  # lambda = m^2 = 4
+    ]
+    cases = []
+    for sigma, base in families:
+        cases += [(sigma, form_power(base, n)) for n in range(-6, 7) if n and abs(n * base.weight) <= 6]
+    sigmas = [sigma for sigma, _ in families]
+    while len(sigmas) < 7:
+        sigma = _random_func(rng, field, max_deg)
+        if not sigma.is_constant and not sigma.derivative().is_zero:
+            sigmas.append(sigma)
+    for sigma in sigmas:
+        for weight in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+            cases.append((sigma, TupleForm(_random_func(rng, field, max_deg), weight)))
+    kinds = set()
+    for sigma, omega in cases:
+        pulled = _chain_rule_pullback(sigma, omega)
+        want = _quotient_check(pulled, omega)
+        assert invariance_check(sigma, omega) == want, (str(sigma), str(omega))
+        assert form_pullback(sigma, omega) == pulled
+        kinds.add("invariant" if want.invariant else "semi" if want.semi_invariant else "none")
+    assert kinds == {"invariant", "semi", "none"}
+
+
+def test_invariance_check_errors():
+    sigma = parse_ratfunc("t^2", F5)
+    with pytest.raises(ValueError):
+        invariance_check(sigma, form("0", 1, F5))
+    with pytest.raises(ValueError):
+        invariance_check(parse_ratfunc("3", F5), form("1/t", 1, F5))
+    with pytest.raises(FieldMismatch):
+        invariance_check(sigma, form("1/t", 1, F7))
+    with pytest.raises(Inseparable):
+        invariance_check(parse_ratfunc("t^5+t^10", F5), form("1/t", 1, F5))
+
+
+def test_prime_field_invariance_check_takes_no_gcd(monkeypatch):
+    # the check compares two products; a RatFunc gcd would show as _gf_gcd
+    calls = []
+    original = exactnum._gf_gcd
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    for mod in (exactnum, ratfunc, dynamics, orbifold, forms, atlas):
+        if getattr(mod, "_gf_gcd", None) is original:
+            monkeypatch.setattr(mod, "_gf_gcd", counted)
+    F47 = field_create(47)
+    cert = atlas.lattes_map(EllipticCurve(F47, F47.one, F47.zero), 2)
+    omega, other = form_power(cert.form, 23), form("t/(t+1)", -3, F47)
+    calls.clear()
+    assert invariance_check(cert.sigma, omega).invariant
+    assert invariance_check(cert.sigma, other).lam is None
+    assert calls == []
+    # the wrapper is live: a RatFunc over F_p does reach it
+    RatFunc(cert.sigma.num, cert.sigma.den)
+    assert calls
 
 
 # ---------------------------------------------------------------- weight reduction
@@ -305,6 +405,49 @@ def test_search_matches_uniform_bounds_oracle():
                     cases += 1
                     found += len(out)
     assert (cases, found) == (622, 84)
+
+
+def _orbifold_caps_search(sigma, weight, data):
+    """The linear search with the orbifold's pole caps: every numerator of
+    degree <= deg h - 2 weight + cap(inf) over h = prod minpoly^cap."""
+    p = sigma.field.p
+    h = [1]
+    for minpoly, mu in _pole_orbits(data):
+        for _ in range(_pole_cap(mu, weight)):
+            h = _gf_mul(h, list(minpoly), p)
+    cap_inf = _pole_cap(data.mu.get(vertex_key(data.field, INFINITY), 1), weight)
+    deg_g = len(h) - 1 - 2 * weight + cap_inf
+    return _solve(sigma, weight, h, deg_g) if deg_g >= 0 else []
+
+
+def test_search_matches_linear_search_at_p_minus_1():
+    F97 = field_create(97)
+    for sigma in (atlas.lattes_map(EllipticCurve(F97, F97.one, F97.zero), 2).sigma, parse_ratfunc("t^3-3*t", F97)):
+        data = orbifold_data(postcritical_graph(sigma))
+        out = invariant_search(sigma, 96, data)
+        assert len(out) == 1
+        assert out == _orbifold_caps_search(sigma, 96, data)
+
+
+def test_search_empty_off_chi_zero_like_linear_search():
+    # chi != 0: the search answers [] without a check, as the linear search
+    # with the orbifold caps does in all 128 cases
+    cases = 0
+    for expr in ("t^2+1", "t^3+t+1", "(t^2+1)/t", "t^2-1", "(t^3+2)/(t^2+1)", "t^4+t^3+2"):
+        for p in (5, 7, 11, 13):
+            try:
+                sig = reduce_mod_p(parse_ratfunc(expr, Q), p)
+            except BadPrime:
+                continue
+            data = orbifold_data(postcritical_graph(sig))
+            if data.chi == 0:
+                continue
+            for weight in range(1, 7):
+                if weight % p:
+                    assert invariant_search(sig, weight, data) == []
+                    assert _orbifold_caps_search(sig, weight, data) == [], (expr, p, weight)
+                    cases += 1
+    assert cases == 128
 
 
 def test_tuple_form_weight_must_be_nonzero():

@@ -12,6 +12,9 @@ from flatlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 LATTES = "(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)"
+LATTES_X3P1 = "(1/4*t^4 - 2*t)/(t^3 + 1)"  # doubling on y^2 = x^3 + 1
+LATTES_X3MXP1 = "(1/4*t^4 + 1/2*t^2 - 2*t + 1/4)/(t^3 - t + 1)"  # on y^2 = x^3 - x + 1
+WEIGHTS = ["--weights", "1,2,3,4,6,12"]
 
 CASES = {
     "classify-t2-char0": ["classify", "t^2", "--primes", "5..30", "--char0"],
@@ -25,6 +28,10 @@ CASES = {
     "classify-lattes-char0": ["classify", LATTES, "--primes", "11..30", "--char0"],
     "classify-t4t1-over-t2p3": ["classify", "(t^4+t+1)/(t^2+3)", "--primes", "5..50"],
     "classify-t6t5t3": ["classify", "t^6+t^5+2*t+3", "--primes", "5..50"],
+    "classify-lattes-x3p1": ["classify", LATTES_X3P1, "--primes", "5..50"],
+    "classify-lattes-x3mxp1": ["classify", LATTES_X3MXP1, "--primes", "5..50"],
+    "classify-t3-weights": ["classify", "t^3", "--primes", "5..50"] + WEIGHTS,
+    "classify-lattes-weights": ["classify", LATTES, "--primes", "5..50"] + WEIGHTS,
     "orbifold-t3t1-p5": ["orbifold", "t^3+t+1", "--p", "5"],
     "orbifold-t3t1-p7": ["orbifold", "t^3+t+1", "--p", "7"],
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],

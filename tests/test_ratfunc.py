@@ -157,6 +157,30 @@ def _random_map(rng, field, max_deg):
             return f
 
 
+@pytest.mark.parametrize("field", [F7, field_create(3, 2), Q], ids=["F7", "F9", "Q"])
+def test_pow_matches_gcd_path(field):
+    # num^e and den^e stay coprime, so the power skips the gcd; the
+    # constructor, which takes it, must give the same canonical form
+    rng = random.Random(13)
+
+    def draw():
+        return rng.randrange(-3, 4) if field.is_rationals else field.elem_from_index(rng.randrange(field.order))
+
+    for _ in range(12):
+        num = Poly(field, [draw() for _ in range(rng.randrange(1, 4))])
+        den = Poly(field, [draw() for _ in range(rng.randrange(1, 4))])
+        if num.is_zero or den.is_zero:
+            continue
+        f = RatFunc(num, den)
+        for e in range(-3, 5):
+            want = RatFunc(f.num ** e, f.den ** e) if e >= 0 else RatFunc(f.den ** -e, f.num ** -e)
+            assert f ** e == want
+    zero = RatFunc(Poly.zero(field))
+    assert zero ** 3 == zero and zero ** 0 == RatFunc.from_const(field, 1)
+    with pytest.raises(DivisionByZero):
+        zero ** -2
+
+
 # ---------------------------------------------------------------- derivative
 
 def test_derivative_examples():
