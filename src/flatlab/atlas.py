@@ -2,8 +2,9 @@
 
 Power maps t^(+-d) carry the invariant form (dt/t)^(p-1); Chebyshev maps
 carry (dt)^(p-1) / (t^2-4)^((p-1)/2); Lattes maps (the order-2 quotient of
-multiplication by m on a short Weierstrass curve) carry the weight-2 form
-(dx)^2 / (x^3 + a x + b), semi-invariant with lambda = m^2.  Every
+multiplication by m on a short Weierstrass curve, built from x-only
+division polynomials) carry the weight-2 form (dx)^2 / (x^3 + a x + b),
+semi-invariant with lambda = m^2.  Every
 certificate is re-verified by exact pullback at construction time; a
 mismatch raises instead of warning.
 """
@@ -138,87 +139,24 @@ class EllipticCurve:
         return Poly(self.field, (self.b, self.a, 0, 1))
 
 
-def _division_pairs(E: EllipticCurve, mmax: int):
-    """Division polynomials psi_m as (g, s) meaning g(x) * y^s, s in {0, 1}.
-
-    y^2 is eliminated through the curve equation, so odd-index psi are
-    plain x-polynomials and even-index ones are y times an x-polynomial.
-    """
-    field = E.field
-    a, b = E.a, E.b
-    ex = E.rhs_poly()
-    x = Poly.gen(field)
-    one = Poly.one(field)
-
-    def mul(u, v):
-        g, s = u[0] * v[0], u[1] + v[1]
-        if s == 2:
-            return (g * ex, 0)
-        return (g, s)
-
-    def sub(u, v):
-        if u[1] != v[1]:
-            raise RuntimeError("division polynomial parity mismatch (internal)")
-        return (u[0] - v[0], u[1])
-
-    inv2 = field.one / field.elem(2)
-    psi = {
-        0: (Poly.zero(field), 0),
-        1: (one, 0),
-        2: (Poly.constant(field, 2), 1),
-        3: (Poly(field, (-(a * a), 12 * b, 6 * a, 0, 3)), 0),
-        4: (
-            Poly(
-                field,
-                (
-                    -4 * (a * a * a + 8 * b * b),
-                    -16 * a * b,
-                    -20 * a * a,
-                    80 * b,
-                    20 * a,
-                    0,
-                    4,
-                ),
-            ),
-            1,
-        ),
-    }
-
-    def get(m):
-        if m in psi:
-            return psi[m]
-        n, r = divmod(m, 2)
-        if r:
-            value = sub(mul(get(n + 2), _pair_pow(get(n), 3, mul)), mul(get(n - 1), _pair_pow(get(n + 1), 3, mul)))
-        else:
-            u = sub(mul(get(n + 2), _pair_pow(get(n - 1), 2, mul)), mul(get(n - 2), _pair_pow(get(n + 1), 2, mul)))
-            prod = mul(get(n), u)
-            if prod[1] != 0:
-                raise RuntimeError("even division polynomial parity (internal)")
-            quo, rem = divmod(prod[0], ex)
-            if not rem.is_zero:
-                raise RuntimeError("even division polynomial not divisible by the curve (internal)")
-            value = (quo.scale(inv2), 1)
-        psi[m] = value
-        return value
-
-    for m in range(mmax + 1):
-        get(m)
-    return psi
-
-
-def _pair_pow(u, e, mul):
-    out = u
-    for _ in range(e - 1):
-        out = mul(out, u)
-    return out
-
-
 def ec_mul_x(E: EllipticCurve, m: int) -> RatFunc:
     """x-coordinate of multiplication by m: xi_m(x(P)) = x(mP), degree m^2.
 
-    Built from the division polynomials, xi_m = (x psi_m^2 - psi_{m-1}
-    psi_{m+1}) / psi_m^2, with y eliminated via the curve equation.
+    Built from x-only division polynomials (Washington, "Elliptic Curves:
+    Number Theory and Cryptography", 2nd ed., section 3.2).  Writing
+    psi_n = f_n for odd n and psi_n = 2y f_n for even n, with
+    F = (2y)^2 = 4 (x^3 + a x + b), the recurrences need no y and no
+    division:
+
+        f_0 = 0, f_1 = f_2 = 1, f_3 = 3x^4 + 6a x^2 + 12b x - a^2,
+        f_4 = 2x^6 + 10a x^4 + 40b x^3 - 10a^2 x^2 - 8ab x - 2a^3 - 16b^2,
+        f_{2j+1} = F^2 f_{j+2} f_j^3 - f_{j-1} f_{j+1}^3    (j even),
+        f_{2j+1} = f_{j+2} f_j^3 - F^2 f_{j-1} f_{j+1}^3    (j odd),
+        f_{2j} = f_j (f_{j+2} f_{j-1}^2 - f_{j-2} f_{j+1}^2),
+
+    and xi_m = x - psi_{m-1} psi_{m+1} / psi_m^2 becomes
+    (x f_m^2 - F f_{m-1} f_{m+1}) / f_m^2 for odd m and
+    (x F f_m^2 - f_{m-1} f_{m+1}) / (F f_m^2) for even m.
     Requires characteristic 0 or p > 2 m^2.
     """
     if m < 2:
@@ -226,23 +164,34 @@ def ec_mul_x(E: EllipticCurve, m: int) -> RatFunc:
     field = E.field
     if field.p and field.p <= 2 * m * m:
         raise BadCharacteristic(f"need p > 2 m^2 = {2 * m * m}, got p = {field.p}")
-    psi = _division_pairs(E, m + 1)
-    ex = E.rhs_poly()
+    a, b = E.a, E.b
+    F = Poly(field, (4 * b, 4 * a, 0, 4))
+    F2 = F * F
+    memo = {
+        0: Poly.zero(field),
+        1: Poly.one(field),
+        2: Poly.one(field),
+        3: Poly(field, (-(a * a), 12 * b, 6 * a, 0, 3)),
+        4: Poly(field, (-2 * a * a * a - 16 * b * b, -8 * a * b, -10 * a * a, 40 * b, 10 * a, 0, 2)),
+    }
 
-    def squared_x(pair):
-        g, s = pair
-        out = g * g
-        return out * ex if s else out
+    def f(n):
+        if n not in memo:
+            j, odd = divmod(n, 2)
+            if not odd:
+                memo[n] = f(j) * (f(j + 2) * f(j - 1) ** 2 - f(j - 2) * f(j + 1) ** 2)
+            elif j % 2:
+                memo[n] = f(j + 2) * f(j) ** 3 - F2 * f(j - 1) * f(j + 1) ** 3
+            else:
+                memo[n] = F2 * f(j + 2) * f(j) ** 3 - f(j - 1) * f(j + 1) ** 3
+        return memo[n]
 
-    def product_x(u, v):
-        g, s = u[0] * v[0], u[1] + v[1]
-        if s == 1:
-            raise RuntimeError("odd y-parity in x-projection (internal)")
-        return g * ex if s else g
-
-    den = squared_x(psi[m])
-    num = Poly.gen(field) * den - product_x(psi[m - 1], psi[m + 1])
-    xi = RatFunc(num, den)
+    product = f(m - 1) * f(m + 1)
+    if m % 2:
+        den, product = f(m) ** 2, F * product
+    else:
+        den = F * f(m) ** 2
+    xi = RatFunc(Poly.gen(field) * den - product, den)
     if xi.degree != m * m:
         raise RuntimeError(f"multiplication map degree {xi.degree} != m^2 (internal)")
     return xi

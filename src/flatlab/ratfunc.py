@@ -4,7 +4,7 @@ Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic and nonzero.  The module also provides the
 expression parser/printer, complete factorization over finite fields
 (squarefree split, distinct-degree split, Cantor-Zassenhaus equal-degree
-split with an explicit seed), Moebius conjugation, and reduction of a map
+split from a fixed seed), Moebius conjugation, and reduction of a map
 over Q modulo a prime with good-prime detection.
 """
 
@@ -210,8 +210,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no squaring past the top bit
+                base = base * base
         return result
 
     def monic(self):
@@ -814,18 +815,18 @@ def _factor_into(f, out, rng):
         _factor_into(rest, out, rng)
 
 
-def poly_factor(f: Poly, seed: int = 0):
+def poly_factor(f: Poly):
     """Complete factorization over a finite field.
 
     Returns [(monic irreducible, multiplicity), ...] sorted by (degree,
     coefficients); f equals lc(f) times the product.  Randomized splitting
-    draws only from the given seed.
+    draws from random.Random(0), so every call makes the same draws.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.field.is_rationals:
         raise FieldMismatch("factorization is only supported over finite fields")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = {}
     _factor_into(f.monic(), out, rng)
     return sorted(out.items(), key=lambda item: poly_key(item[0]))
@@ -849,27 +850,13 @@ def poly_is_irreducible(f: Poly) -> bool:
     return True
 
 
-def poly_roots(f: Poly, seed: int = 0):
+def poly_roots(f: Poly):
     """Roots of f in its own (finite) coefficient field, with multiplicity.
 
-    Returns [(root, multiplicity), ...] sorted by element index.
+    Read off the linear factors of poly_factor(f).  Returns [(root,
+    multiplicity), ...] sorted by the root's coefficient tuple.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    field = f.field
-    if field.is_rationals:
-        raise FieldMismatch("poly_roots works over finite fields")
-    if f.degree < 1:
-        return []
-    x = Poly.gen(field)
-    lin = poly_gcd(f, _poly_powmod(x, field.order, f) - x % f)
-    if lin.degree < 1:
-        return []
-    rng = random.Random(seed)
-    roots = []
-    for g in _edf(lin, 1, rng):
-        r = -g.coeff(0)
-        roots.append((r, root_multiplicity(f, r)))
+    roots = [(-g.coeff(0), m) for g, m in poly_factor(f) if g.degree == 1]
     roots.sort(key=lambda item: item[0].coeffs)
     return roots
 

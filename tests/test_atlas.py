@@ -125,9 +125,9 @@ def test_ec_mul_x_against_group_law():
     # sample affine points over F_101 and check xi_m(x(P)) = x(mP)
     p = 101
     F = field_create(p)
-    for a, b in [(1, 0), (0, 1), (2, 3)]:
+    for a, b in [(1, 0), (0, 1), (2, 3), (-1, 1)]:
         E = EllipticCurve(F, F.elem(a), F.elem(b))
-        for m in (2, 3):
+        for m in range(2, 8):  # p > 2 m^2 up to m = 7
             xi = ec_mul_x(E, m)
             for P in ec_points(a, b, p)[:20]:
                 mP = ec_mul(P, m, a, p)
@@ -146,6 +146,7 @@ def test_ec_mul_x_degree_and_commutation():
         assert ec_mul_x(E, m).degree == m * m
     x2, x3 = ec_mul_x(E, 2), ec_mul_x(E, 3)
     assert x2.compose(x3) == x3.compose(x2) == ec_mul_x(E, 6)
+    assert x2.compose(x2) == ec_mul_x(E, 4)
 
 
 def test_ec_mul_x_characteristic_guard():

@@ -37,6 +37,10 @@ CASES = {
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],
     "orbifold-lattes-p13": ["orbifold", LATTES, "--p", "13"],
     "orbifold-t4t1-over-t2p3-p11": ["orbifold", "(t^4+t+1)/(t^2+3)", "--p", "11"],
+    "construct-lattes-1-0-2": ["construct", "lattes", "1", "0", "2"],
+    "construct-lattes-m1-1-2": ["construct", "lattes", "-1", "1", "2"],
+    "construct-lattes-2-3-3-p101": ["construct", "lattes", "2", "3", "3", "--p", "101"],
+    "construct-lattes-1-0-5-p53": ["construct", "lattes", "1", "0", "5", "--p", "53"],
 }
 
 

@@ -14,8 +14,8 @@ from flatlab import (
     rationals,
     reduce_mod_p,
 )
-from flatlab.errors import BadPrime, DivisionByZero, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import rational_roots
+from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
+from flatlab.ratfunc import _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
 
 Q = rationals()
 F5 = field_create(5)
@@ -256,6 +256,40 @@ def test_reduce_respects_composition():
     assert checked >= 12
 
 
+def test_reduce_shared_factor_matches_sympy_resultant():
+    # "share a factor" is raised exactly when Res(P, Q) = 0 mod p for the
+    # primitive integer pair; primes rejected for another reason are skipped
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    checked = shared = 0
+    for _ in range(300):
+        p = rng.choice([5, 7, 11, 13, 17, 19, 23])
+        deg = rng.randrange(2, 5)
+        num = [rng.randrange(-4, 5) for _ in range(deg)] + [rng.randrange(1, 5)]
+        den = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, deg + 1))]
+        if rng.randrange(3) == 0:  # a common root r mod p, shifted by multiples of p
+            r = rng.randrange(p)
+            for c in (num, den):
+                c[0] -= sum(ci * r ** i for i, ci in enumerate(c)) % p + p * rng.randrange(-1, 2)
+        if not any(den):
+            continue
+        sigma = RatFunc(Poly(Q, num), Poly(Q, den))
+        P, Qs = _primitive_integer_pair(sigma)
+        res = int(sympy.resultant(sympy.Poly(P[::-1], x), sympy.Poly(Qs[::-1], x)))
+        try:
+            reduce_mod_p(sigma, p)
+        except BadPrime as exc:
+            if "share a factor" not in exc.reason:
+                continue
+            assert res % p == 0
+            shared += 1
+        else:
+            assert res % p != 0
+        checked += 1
+    assert checked >= 200 and shared >= 40
+
+
 def _random_map_q(rng, max_deg):
     while True:
         num = Poly(Q, [rng.randrange(-9, 10) for _ in range(rng.randrange(1, max_deg + 2))])
@@ -290,6 +324,8 @@ def test_prime_field_poly_matches_sympy(p):
         sa, sb = _to_sympy(a, sympy), _to_sympy(b, sympy)
         assert a * b == _from_sympy(sa * sb, field)
         assert a * a == _from_sympy(sa * sa, field)
+        for e in (0, 1, 2, 3):
+            assert a ** e == _from_sympy(sa ** e, field)
         if b.is_zero:
             continue
         q, r = divmod(a, b)
@@ -459,6 +495,36 @@ def test_factor_char2():
     F2 = field_create(2)
     f = parse_ratfunc("t^4 + t", F2).num
     assert [(str(g), m) for g, m in poly_factor(f)] == [("t", 1), ("t + 1", 1), ("t^2 + t + 1", 1)]
+
+
+@pytest.mark.parametrize("field_args", [(2, 1), (5, 1), (7, 1), (13, 1), (5, 2)])
+def test_poly_roots_against_enumeration(field_args):
+    field = field_create(*field_args)
+    rng = random.Random(23 + field.order)
+    polys = []
+    for _ in range(10):
+        f = Poly.constant(field, field.elem_from_index(rng.randrange(1, field.order)))
+        for _ in range(rng.randrange(0, 4)):  # roots in the field, with multiplicity
+            root = field.elem_from_index(rng.randrange(field.order))
+            f = f * Poly(field, [-root, field.one]) ** rng.randrange(1, 4)
+        cofactor = Poly(field, [field.elem_from_index(rng.randrange(field.order))
+                                for _ in range(rng.randrange(1, 5))])
+        polys.append(f * cofactor if not cofactor.is_zero else f)
+    if field.order == 5:
+        t5 = parse_ratfunc("t^5 - 1", field).num
+        assert poly_roots(t5) == [(field.one, 5)]  # (t - 1)^5
+        polys.append(t5)
+    for f in polys:
+        want = [(a, root_multiplicity(f, a)) for a in field.elements() if not f.eval(a)]
+        want.sort(key=lambda item: item[0].coeffs)
+        assert poly_roots(f) == want
+
+
+def test_poly_roots_rejects_zero_and_q():
+    with pytest.raises(ZeroPolynomial):
+        poly_roots(Poly.zero(F5))
+    with pytest.raises(FieldMismatch):
+        poly_roots(parse_ratfunc("t^2 - 1", Q).num)
 
 
 # ---------------------------------------------------------------- conjugation
