@@ -298,8 +298,8 @@ class _ResidueWalk:
         p, k = field.p, field.k
         self.p, self.k, self.inf = p, k, field.order
         self.modulus = modulus = list(field.modulus) if k > 1 else [0, 1]
-        self.num = [c.coeffs[0] for c in sigma.num.coeffs]
-        self.den = [c.coeffs[0] for c in sigma.den.coeffs]
+        self.num = [sigma.num.coeff(i).coeffs[0] for i in range(sigma.num.degree + 1)]
+        self.den = [sigma.den.coeff(i).coeffs[0] for i in range(sigma.den.degree + 1)]
         if len(self.num) > len(self.den):
             self.at_inf = self.inf
         elif len(self.num) < len(self.den):

@@ -67,9 +67,10 @@ def _prime_factors(n):
 # Dense polynomials over F_p as plain int lists, constant term first,
 # no trailing zeros ([] is the zero polynomial), every coefficient in
 # range(p).  This is the one F_p arithmetic path: it backs the modulus
-# search, FFElem arithmetic in extensions, prime-field Poly products,
-# division and gcd, and over F_p the homogenized substitution behind
-# RatFunc.compose, form pullback and the invariance check (ratfunc._Horner).
+# search, FFElem arithmetic in extensions, and every prime-field Poly, whose
+# coefficients are such a list (sums, products, division, gcd, and the
+# homogenized substitution behind RatFunc.compose, form pullback and the
+# invariance check).
 # ----------------------------------------------------------------------
 
 def _gf_trim(a):
@@ -80,23 +81,17 @@ def _gf_trim(a):
 
 
 def _gf_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av + bv) % p
+    # entries are in range(p), so only the overlap needs reducing
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
     return _gf_trim(out)
 
 
 def _gf_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % p
-    return _gf_trim(out)
+    return _gf_add(a, [-c % p for c in b], p)
 
 
 # Kronecker substitution needs one operand of at least this length to beat
@@ -227,28 +222,9 @@ def _gf_deriv(a, p):
     return _gf_trim([(a[i] * i) % p for i in range(1, len(a))])
 
 
-def _gf_pow_int(a, e, p):
-    result = [1]
-    base = a
-    while e:
-        if e & 1:
-            result = _gf_mul(result, base, p)
-        base = _gf_mul(base, base, p)
-        e >>= 1
-    return result
-
-
-def _gf_powers(a, n, p):
-    """[a^0, a^1, ..., a^n]."""
-    out = [[1]]
-    for _ in range(n):
-        out.append(_gf_mul(out[-1], a, p))
-    return out
-
-
 def _hom_eval(f, P, qpow, p):
-    """sum f[i] P^i Q^(deg - i) by Horner in P, where qpow = _gf_powers(Q,
-    deg, p): the numerator of f(P/Q) Q^deg."""
+    """sum f[i] P^i Q^(deg - i) by Horner in P, where qpow = [Q^0, ...,
+    Q^deg]: the numerator of f(P/Q) Q^deg."""
     deg = len(qpow) - 1
     acc = []
     for i in range(deg, -1, -1):

@@ -14,15 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
-from .exactnum import (
-    _gf_deriv,
-    _gf_mul,
-    _gf_pow_int,
-    _gf_powers,
-    _gf_sub,
-    _hom_eval,
-    mat_kernel,
-)
+from .exactnum import mat_kernel
 from .dynamics import INFINITY, P1Point, postcritical_graph, vertex_key
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _Horner, _poly_pth_root, root_multiplicity
@@ -64,8 +56,7 @@ def form_mul(a: TupleForm, b: TupleForm) -> TupleForm:
 
 
 def _pullback_sides(sigma: RatFunc, omega: TupleForm):
-    """(h, A, B) with sigma^* omega = (A/B) (dt)^weight, where h is the
-    _Horner of sigma and A, B are in its representation; no gcd is taken.
+    """(A, B) with sigma^* omega = (A/B) (dt)^weight; no gcd is taken.
 
     With sigma = P/Q, f = N/D, W = P'Q - PQ' and Xhat = Q^(deg X) X(P/Q),
     f(sigma) = Nhat Q^(deg D) / (Dhat Q^(deg N)) and sigma' = W/Q^2, so
@@ -82,25 +73,24 @@ def _pullback_sides(sigma: RatFunc, omega: TupleForm):
         raise Inseparable("pullback along an inseparable map")
     N, D, w = omega.func.num, omega.func.den, omega.weight
     h = _Horner(sigma, max(N.degree, D.degree))
-    A = h.hom(h.lift(N), N.degree)
-    B = h.hom(h.lift(D), D.degree)
+    A = h.hom(N, N.degree)
+    B = h.hom(D, D.degree)
     shift = D.degree - N.degree - 2 * w
     if shift > 0:
-        A = h.mul(A, h.power(h.Q, shift))
+        A = A * Q ** shift
     elif shift < 0:
-        B = h.mul(B, h.power(h.Q, -shift))
-    wpow = h.power(h.lift(wron), abs(w))
+        B = B * Q ** -shift
     if w > 0:
-        A = h.mul(A, wpow)
+        A = A * wron ** w
     else:
-        B = h.mul(B, wpow)
-    return h, A, B
+        B = B * wron ** -w
+    return A, B
 
 
 def form_pullback(sigma: RatFunc, omega: TupleForm) -> TupleForm:
     """sigma^* omega = f(sigma(t)) (sigma'(t))^weight (dt)^weight."""
-    h, A, B = _pullback_sides(sigma, omega)
-    return TupleForm(RatFunc(h.poly(A), h.poly(B)), omega.weight)
+    A, B = _pullback_sides(sigma, omega)
+    return TupleForm(RatFunc(A, B), omega.weight)
 
 
 def form_ord(omega: TupleForm, pt: P1Point) -> int:
@@ -142,10 +132,17 @@ def invariance_check(sigma: RatFunc, omega: TupleForm) -> InvarianceResult:
     """
     if omega.is_zero:
         raise ValueError("invariance of the zero form")
-    h, A, B = _pullback_sides(sigma, omega)
+    A, B = _pullback_sides(sigma, omega)
     f = omega.func
-    lam = h.ratio(h.mul(A, h.lift(f.den)), h.mul(B, h.lift(f.num)))
+    lam = _ratio(A * f.den, B * f.num)
     return InvarianceResult(invariant=(lam == omega.field.one), lam=lam)
+
+
+def _ratio(a, b):
+    """The constant lam with a = lam b, or None when a is not a constant
+    multiple of b (a, b nonzero polynomials)."""
+    lam = a.lc() / b.lc()
+    return lam if a == b.scale(lam) else None
 
 
 def weight_reduce(sigma: RatFunc, omega: TupleForm, lam) -> TupleForm:
@@ -254,22 +251,21 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     nu = math.lcm(*(mu for mu in mus if mu != MU_INFINITY))
     if weight % nu:
         return []
-    h_nu = [1]
+    h_nu = Poly.one(field)
     for minpoly, mu in orbits:
-        for _ in range(_pole_cap(mu, nu)):
-            h_nu = _gf_mul(h_nu, list(minpoly), p)
-    lam = invariance_check(sigma, _inverse_form(field, h_nu, nu)).lam
+        h_nu = h_nu * Poly(field, minpoly) ** _pole_cap(mu, nu)
+    lam = invariance_check(sigma, _inverse_form(h_nu, nu)).lam
     if lam is None or lam ** (weight // nu) != field.one:
         return []
-    form = _inverse_form(field, _gf_pow_int(h_nu, weight // nu, p), weight)
+    form = _inverse_form(h_nu ** (weight // nu), weight)
     if not invariance_check(sigma, form).invariant:
         raise RuntimeError("search produced a non-invariant form (internal)")
     return [form]
 
 
-def _inverse_form(field, h, weight):
-    """(1/h) (dt)^weight for a monic residue list h."""
-    return TupleForm(RatFunc(Poly.one(field), Poly._from_residues(field, h)), weight)
+def _inverse_form(h, weight):
+    """(1/h) (dt)^weight for a monic polynomial h."""
+    return TupleForm(RatFunc(Poly.one(h.field), h), weight)
 
 
 def _solve(sigma, weight, h_int, deg_g):
@@ -283,39 +279,34 @@ def _solve(sigma, weight, h_int, deg_g):
     coefficients of g, solved exactly with mat_kernel.
     """
     field = sigma.field
-    p = field.p
-    deg_h = len(h_int) - 1
-    P = [c.coeffs[0] for c in sigma.num.coeffs]
-    Q = [c.coeffs[0] for c in sigma.den.coeffs]
-    W = _gf_sub(_gf_mul(_gf_deriv(P, p), Q, p), _gf_mul(P, _gf_deriv(Q, p), p), p)
+    h = Poly(field, h_int)
+    P, Q = sigma.num, sigma.den
+    W = P.derivative() * Q - P * Q.derivative()
 
     # LHS column i: P^i Q^(deg_g - i) W^weight h ; RHS: t^i Hhat Q^(deg_g + 2 weight - deg_h)
-    hhat = _hom_eval(h_int, P, _gf_powers(Q, deg_h, p), p)
-    rhs_base = _gf_mul(hhat, _gf_pow_int(Q, deg_g + 2 * weight - deg_h, p), p)
-    t_base = _gf_mul(_gf_pow_int(W, weight, p), h_int, p)
-    qt = [t_base]
+    hhat = _Horner(sigma, h.degree).hom(h, h.degree)
+    rhs_base = (hhat * Q ** (deg_g + 2 * weight - h.degree)).coeffs
+    qt = [W ** weight * h]
     for _ in range(deg_g):
-        qt.append(_gf_mul(qt[-1], Q, p))
-    ppow = _gf_powers(P, deg_g, p)
-    cols = []
-    nrows = 0
-    for i in range(deg_g + 1):
-        lhs = _gf_mul(ppow[i], qt[deg_g - i], p)
-        cols.append(lhs)
-        nrows = max(nrows, len(lhs), len(rhs_base) + i)
+        qt.append(qt[-1] * Q)
+    ppow = [Poly.one(field)]
+    for _ in range(deg_g):
+        ppow.append(ppow[-1] * P)
+    cols = [(ppow[i] * qt[deg_g - i]).coeffs for i in range(deg_g + 1)]
+    nrows = max(max(len(lhs), len(rhs_base) + i) for i, lhs in enumerate(cols))
     matrix = [[0] * (deg_g + 1) for _ in range(nrows)]
     for i, lhs in enumerate(cols):
         for r, c in enumerate(lhs):
             matrix[r][i] = c
         for r, c in enumerate(rhs_base):
-            matrix[r + i][i] = (matrix[r + i][i] - c) % p
+            matrix[r + i][i] -= c
 
     kernel = mat_kernel(matrix, field)
     if len(kernel) > 1:
         raise RuntimeError("invariant forms of one weight span more than a line (internal)")
     forms = []
     for vec in kernel:
-        f = RatFunc(Poly(field, vec), Poly(field, h_int))
+        f = RatFunc(Poly(field, vec), h)
         form = TupleForm(f / RatFunc.from_const(field, f.num.lc()), weight)
         if not invariance_check(sigma, form).invariant:
             raise RuntimeError("search produced a non-invariant form (internal)")

@@ -27,10 +27,11 @@ from .errors import (
 from .exactnum import (
     Field,
     FFElem,
+    _gf_add,
+    _gf_deriv,
     _gf_divmod,
     _gf_gcd,
     _gf_mul,
-    _gf_pow_int,
     _hom_eval,
     _prime_factors,
     field_create,
@@ -39,12 +40,24 @@ from .exactnum import (
 
 
 class Poly:
-    """Dense univariate polynomial; coefficients constant term first."""
+    """Dense univariate polynomial; coefficients constant term first, no
+    trailing zero.
+
+    Over F_p, coeffs holds int residues in range(p), and the arithmetic
+    works on them directly: sums, products, division, derivative, gcd and
+    composition through exactnum's _gf_* layer.  Over Q and F_{p^k},
+    coeffs holds field elements.  coeff and lc return field elements over
+    every field.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.elem(c) for c in coeffs]
+        if field.k == 1 and field.p:
+            p = field.p
+            cs = [c % p if isinstance(c, int) else field.elem(c).coeffs[0] for c in coeffs]
+        else:
+            cs = [field.elem(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -52,24 +65,13 @@ class Poly:
 
     @classmethod
     def _make(cls, field, coeffs):
-        # trusted path: coeffs already field elements, list, not yet trimmed
+        # trusted path: a list already in the field's representation
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         obj = object.__new__(cls)
         obj.field = field
         obj.coeffs = tuple(coeffs)
         return obj
-
-    @classmethod
-    def _from_residues(cls, field, residues):
-        # trusted path for prime fields: trimmed ints in range(p)
-        obj = object.__new__(cls)
-        obj.field = field
-        obj.coeffs = tuple([FFElem(field, (c,)) for c in residues])
-        return obj
-
-    def _residues(self):
-        return [c.coeffs[0] for c in self.coeffs]
 
     @property
     def _over_prime_field(self):
@@ -102,11 +104,12 @@ class Poly:
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+            c = self.coeffs[i]
+            return FFElem(self.field, (c,)) if self._over_prime_field else c
         return self.field.zero
 
     def lc(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero
+        return self.coeff(len(self.coeffs) - 1)
 
     def _check(self, other):
         if isinstance(other, Poly):
@@ -122,6 +125,8 @@ class Poly:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
+        if self._over_prime_field:
+            return Poly._make(self.field, _gf_add(a, b, self.field.p))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -144,17 +149,18 @@ class Poly:
         return o - self
 
     def __neg__(self):
+        if self._over_prime_field:
+            p = self.field.p
+            return Poly._make(self.field, [-c % p for c in self.coeffs])
         return Poly._make(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
-        if self._over_prime_field:
-            a = self._residues()
-            b = a if o is self else o._residues()
-            return Poly._from_residues(self.field, _gf_mul(a, b, self.field.p))
         a, b = self.coeffs, o.coeffs
+        if self._over_prime_field:
+            return Poly._make(self.field, _gf_mul(a, b, self.field.p))
         if not a or not b:
             return Poly.zero(self.field)
         zero = self.field.zero
@@ -169,6 +175,9 @@ class Poly:
 
     def scale(self, c):
         c = self.field.elem(c)
+        if self._over_prime_field:
+            p, c = self.field.p, c.coeffs[0]
+            return Poly._make(self.field, [a * c % p for a in self.coeffs])
         return Poly._make(self.field, [a * c for a in self.coeffs])
 
     def __divmod__(self, other):
@@ -179,8 +188,8 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         field = self.field
         if self._over_prime_field:
-            quo, rem = _gf_divmod(self._residues(), o._residues(), field.p)
-            return Poly._from_residues(field, quo), Poly._from_residues(field, rem)
+            quo, rem = _gf_divmod(self.coeffs, o.coeffs, field.p)
+            return Poly._make(field, quo), Poly._make(field, rem)
         rem = list(self.coeffs)
         db = o.degree
         if self.degree < db:
@@ -221,6 +230,8 @@ class Poly:
         return self.scale(self.field.one / self.lc())
 
     def derivative(self):
+        if self._over_prime_field:
+            return Poly._make(self.field, _gf_deriv(self.coeffs, self.field.p))
         out = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
         return Poly._make(self.field, out)
 
@@ -231,14 +242,13 @@ class Poly:
             acc = acc * a + c
         return acc
 
-    def map_coeffs(self, target, fn):
-        return Poly(target, [fn(c) for c in self.coeffs])
-
     def lift_to(self, ext):
         """Lift a prime-field polynomial into an extension field."""
         if ext == self.field:
             return self
-        return self.map_coeffs(ext, ext.lift)
+        if not self._over_prime_field or ext.p != self.field.p:
+            raise FieldMismatch(f"cannot lift a polynomial over {self.field} into {ext}")
+        return Poly(ext, self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -258,7 +268,7 @@ class Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero if both arguments are zero)."""
     if a._over_prime_field:
-        return Poly._from_residues(a.field, _gf_gcd(a._residues(), b._residues(), a.field.p))
+        return Poly._make(a.field, _gf_gcd(a.coeffs, b.coeffs, a.field.p))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -436,16 +446,16 @@ class RatFunc:
 
     def compose(self, inner):
         """self after inner; clears denominators by Horner homogenization
-        (_Horner: over F_p on residue lists, through exactnum._hom_eval)."""
+        (_Horner)."""
         o = self._coerce(inner)
         if o is None:
             raise TypeError("compose expects a rational function")
         m = max(self.num.degree, self.den.degree, 0)
         h = _Horner(o, m)
-        den = h.poly(h.hom(h.lift(self.den), m))
+        den = h.hom(self.den, m)
         if den.is_zero:
             raise DivisionByZero("composition evaluates to the constant infinity")
-        return RatFunc(h.poly(h.hom(h.lift(self.num), m)), den)
+        return RatFunc(h.hom(self.num, m), den)
 
     def conjugate(self, phi):
         """phi o self o phi^{-1} for a Moebius map phi = (a t + b)/(c t + d)."""
@@ -480,53 +490,27 @@ class RatFunc:
 class _Horner:
     """Homogenized substitution along inner = P/Q: hom(f, m) = Q^m f(P/Q)
     for deg f <= m <= top, by Horner in P over precomputed powers of Q.
-
-    Over F_p the polynomials are residue lists and the arithmetic is
-    exactnum's _gf_* layer; over Q and F_{p^k} they are Poly.  lift and
-    poly convert to and from that representation, and mul, power and
-    ratio work in it, so callers keep one code path for every field.
+    Over F_p the loop is exactnum._hom_eval on the coefficient residues.
     """
 
-    __slots__ = ("field", "p", "P", "Q", "qpow")
+    __slots__ = ("P", "qpow")
 
     def __init__(self, inner, top):
-        self.field = inner.field
-        self.p = inner.field.p if inner.num._over_prime_field else 0
-        self.P, self.Q = self.lift(inner.num), self.lift(inner.den)
-        self.qpow = [self.lift(Poly.one(self.field))]
+        self.P = inner.num
+        self.qpow = [Poly.one(inner.field)]
         for _ in range(top):
-            self.qpow.append(self.mul(self.qpow[-1], self.Q))
-
-    def lift(self, f):
-        return f._residues() if self.p else f
-
-    def poly(self, a):
-        return Poly._from_residues(self.field, a) if self.p else a
-
-    def mul(self, a, b):
-        return _gf_mul(a, b, self.p) if self.p else a * b
-
-    def power(self, a, e):
-        return _gf_pow_int(a, e, self.p) if self.p else a ** e
+            self.qpow.append(self.qpow[-1] * inner.den)
 
     def hom(self, f, m):
-        """Q^m f(P/Q) for a lifted f of degree at most m."""
-        if self.p:
-            return _hom_eval(f, self.P, self.qpow[:m + 1], self.p)
-        acc = Poly.zero(self.field)
+        """Q^m f(P/Q) for a polynomial f of degree at most m."""
+        P = self.P
+        if P._over_prime_field:
+            qpow = [q.coeffs for q in self.qpow[:m + 1]]
+            return Poly._make(P.field, _hom_eval(f.coeffs, P.coeffs, qpow, P.field.p))
+        acc = Poly.zero(P.field)
         for i in range(m, -1, -1):
-            acc = acc * self.P + self.qpow[m - i].scale(f.coeff(i))
+            acc = acc * P + self.qpow[m - i].scale(f.coeff(i))
         return acc
-
-    def ratio(self, a, b):
-        """The constant lam with a = lam b, as a field element, or None
-        when a is not a constant multiple of b (a, b lifted and nonzero)."""
-        if self.p:
-            p = self.p
-            lam = a[-1] * pow(b[-1], -1, p) % p
-            return self.field.elem(lam) if a == [c * lam % p for c in b] else None
-        lam = a.lc() / b.lc()
-        return lam if a == b.scale(lam) else None
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +719,7 @@ def _poly_pth_root(f):
 
 def poly_key(f: Poly):
     """Deterministic sort key for polynomials over one finite field."""
-    return (f.degree, tuple(c.coeffs for c in f.coeffs))
+    return (f.degree, tuple(f.coeff(i).coeffs for i in range(f.degree + 1)))
 
 
 def _edf(f, d, rng):

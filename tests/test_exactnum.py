@@ -11,10 +11,12 @@ from flatlab.exactnum import (
     FFElem,
     _GFMatrix,
     _find_modulus,
+    _gf_add,
     _gf_gcd,
     _gf_inv_mod,
     _gf_irreducible,
     _gf_mul,
+    _gf_sub,
     _gf_trim,
 )
 
@@ -163,6 +165,28 @@ def _schoolbook_mul(a, b, p):
     while out and not out[-1]:
         out.pop()
     return out
+
+
+@pytest.mark.parametrize("p", [5, 97, 2 ** 61 - 1])
+def test_gf_add_sub_match_per_coefficient(p):
+    # unequal lengths both ways, and b = a or a + b = 0 cancelling to []
+    rng = random.Random(p + 3)
+
+    def oracle(a, b, sign):
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        return _gf_trim([(x + sign * y) % p for x, y in zip(a, b)])
+
+    for la, lb in [(0, 0), (0, 3), (3, 0), (1, 1), (7, 2), (2, 7), (20, 20), (40, 5)]:
+        for _ in range(5):
+            a = _gf_trim([rng.choice((rng.randrange(p), p - 1)) for _ in range(la)])
+            b = _gf_trim([rng.choice((rng.randrange(p), p - 1)) for _ in range(lb)])
+            assert _gf_add(a, b, p) == oracle(a, b, 1)
+            assert _gf_sub(a, b, p) == oracle(a, b, -1)
+        negated = [-c % p for c in a]
+        assert _gf_sub(a, a, p) == [] and _gf_add(a, negated, p) == []
+        top = a[:-1] + [(a[-1] + 1) % p or 1] if a else [1]  # cancels below the top
+        assert _gf_sub(top, a, p) == oracle(top, a, -1)
 
 
 @pytest.mark.parametrize("p", [5, 97, 10007, 2 ** 61 - 1])

@@ -32,6 +32,19 @@ CASES = {
     "classify-lattes-x3mxp1": ["classify", LATTES_X3MXP1, "--primes", "5..50"],
     "classify-t3-weights": ["classify", "t^3", "--primes", "5..50"] + WEIGHTS,
     "classify-lattes-weights": ["classify", LATTES, "--primes", "5..50"] + WEIGHTS,
+    "classify-t2-5-50": ["classify", "t^2", "--primes", "5..50"],
+    "classify-inv-t2-5-50": ["classify", "1/t^2", "--primes", "5..50"],
+    "classify-cheb2-5-50": ["classify", "t^2-2", "--primes", "5..50"],
+    # the corpus map -(t^2-2); argparse reads a space-free leading "-" as an option
+    "classify-neg-cheb2-5-50": ["classify", "2-t^2", "--primes", "5..50"],
+    "classify-cheb3-5-50": ["classify", "t^3-3*t", "--primes", "5..50"],
+    "classify-t2p1-5-50": ["classify", "t^2+1", "--primes", "5..50"],
+    "classify-t3t1-5-50": ["classify", "t^3+t+1", "--primes", "5..50"],
+    "classify-t2p1-over-t-5-50": ["classify", "(t^2+1)/t", "--primes", "5..50"],
+    "classify-t3p2-over-t2p1": ["classify", "(t^3+2)/(t^2+1)", "--primes", "5..50"],
+    "classify-t4t3p2": ["classify", "t^4+t^3+2", "--primes", "5..50"],
+    "classify-t5t4m1": ["classify", "t^5+t^4-1", "--primes", "5..50"],
+    "classify-t6p3t2p1": ["classify", "t^6+3*t^2+1", "--primes", "5..50"],
     "orbifold-t3t1-p5": ["orbifold", "t^3+t+1", "--p", "5"],
     "orbifold-t3t1-p7": ["orbifold", "t^3+t+1", "--p", "7"],
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],
@@ -41,6 +54,12 @@ CASES = {
     "construct-lattes-m1-1-2": ["construct", "lattes", "-1", "1", "2"],
     "construct-lattes-2-3-3-p101": ["construct", "lattes", "2", "3", "3", "--p", "101"],
     "construct-lattes-1-0-5-p53": ["construct", "lattes", "1", "0", "5", "--p", "53"],
+    "construct-power-m2-p7": ["construct", "power", "-2", "--p", "7"],
+    "construct-power-3-p11": ["construct", "power", "3", "--p", "11"],
+    "construct-power-m3": ["construct", "power", "-3"],
+    "construct-cheb-3-p13": ["construct", "cheb", "3", "--p", "13"],
+    "construct-cheb-m4-p11": ["construct", "cheb", "-4", "--p", "11"],
+    "construct-cheb-4": ["construct", "cheb", "4"],
 }
 
 

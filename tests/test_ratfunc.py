@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flatlab import (
+    FFElem,
     Poly,
     RatFunc,
     field_create,
@@ -301,7 +302,7 @@ def _random_map_q(rng, max_deg):
 # ---------------------------------------------------------------- prime-field layer
 
 def _to_sympy(f, sympy):
-    coeffs = [c.coeffs[0] for c in reversed(f.coeffs)] or [0]
+    coeffs = list(reversed(f.coeffs)) or [0]
     return sympy.Poly(coeffs, sympy.Symbol("x"), modulus=f.field.p)
 
 
@@ -350,7 +351,7 @@ def test_prime_field_compose_matches_sympy(p):
         def hom(h):
             acc = _to_sympy(Poly.zero(field), sympy)
             for i, c in enumerate(h.coeffs):
-                acc += P ** i * Qs ** (m - i) * c.coeffs[0]
+                acc += P ** i * Qs ** (m - i) * c
             return acc
 
         num, den = hom(f.num), hom(f.den)
@@ -406,6 +407,89 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     e = parse_ratfunc("(t^5+1/2*t)/(t^3-7)", Q)
     for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den), lambda: e.compose(e)):
         assert longest(run) == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("p", [5, 13, 97])
+def test_prime_field_ops_commute_with_lift(p):
+    # F_{p^2} runs the object loops, so the two sides share no arithmetic
+    field, ext = field_create(p), field_create(p, 2)
+    rng = random.Random(p + 2)
+    up = lambda f: f.lift_to(ext)
+    for _ in range(6):
+        a, b = _random_poly(rng, field, 9), _random_poly(rng, field, 6)
+        c, x = field.elem(rng.randrange(p)), field.elem(rng.randrange(p))
+        pairs = [(a + b, up(a) + up(b)), (a - b, up(a) - up(b)), (-a, -up(a)),
+                 (a * b, up(a) * up(b)), (a ** 3, up(a) ** 3), (a.scale(c), up(a).scale(ext.lift(c))),
+                 (a.monic(), up(a).monic()), (a.derivative(), up(a).derivative()),
+                 (poly_gcd(a, b), poly_gcd(up(a), up(b)))]
+        if not b.is_zero:
+            pairs += zip(divmod(a, b), divmod(up(a), up(b)))
+        for got, want in pairs:
+            assert up(got) == want
+        assert ext.lift(a.eval(x)) == up(a).eval(ext.lift(x))
+        f, g = _random_map(rng, field, 5), _random_map(rng, field, 3)
+        assert f.compose(g).lift_to(ext) == f.lift_to(ext).compose(g.lift_to(ext))
+
+
+def test_poly_representation_contract():
+    # over F_p, coeffs holds trimmed ints in range(p); coeff and lc return
+    # field elements; over Q and F_{p^k}, coeffs holds field elements
+    f = Poly(F7, [Fraction(1, 2), F7.elem(10), -1, 14, 0])
+    assert f.coeffs == (4, 3, 6)
+    assert Poly(F7, [0, 7, 14]).coeffs == ()
+    assert f.coeff(1) == F7.elem(3) and isinstance(f.coeff(1), FFElem)
+    assert f.lc() == F7.elem(6) and isinstance(f.lc(), FFElem)
+    assert f.coeff(3) == F7.zero and Poly.zero(F7).lc() == F7.zero
+    rng = random.Random(31)
+    for _ in range(10):
+        a, b = _random_poly(rng, F7, 8), _random_poly(rng, F7, 5) + Poly.gen(F7)
+        sigma = _random_map(rng, F7, 3)
+        for g in (a + b, a - b, -a, a * b, *divmod(a, b), a.scale(3), a.derivative(), poly_gcd(a, b),
+                  RatFunc(a).compose(sigma).num, RatFunc(a).compose(sigma).den):
+            assert all(type(c) is int and 0 <= c < 7 for c in g.coeffs)
+            assert not g.coeffs or g.coeffs[-1]
+    F49 = field_create(7, 2)
+    assert f.lift_to(F7) is f
+    assert all(isinstance(c, FFElem) and c.field == F49 for c in f.lift_to(F49).coeffs)
+    assert all(isinstance(c, Fraction) for c in parse_ratfunc("t^2/3+1", Q).num.coeffs)
+    with pytest.raises(FieldMismatch):
+        parse_ratfunc("t^2+1/3", Q).num.lift_to(F49)
+    with pytest.raises(FieldMismatch):
+        f.lift_to(field_create(5, 2))
+
+
+def test_prime_field_ops_build_no_field_elements(monkeypatch):
+    # F_p polynomials stay int residues: sums, products, division and gcd
+    # make no FFElem, and compose and invariance_check make a few, however
+    # large the degree
+    from flatlab import chebyshev_poly, invariance_check
+
+    counts = []
+
+    def counted(self, field, coeffs):
+        counts.append(1)
+        self.field, self.coeffs = field, coeffs
+
+    def built(run):
+        counts.clear()
+        run()
+        return len(counts)
+
+    F97, F47 = field_create(97), field_create(47)
+    rng = random.Random(29)
+    certs = [chebyshev_poly(d, field=F47) for d in (2, 4, 8)]
+    t = Poly.gen(F97)
+    pairs = [(_random_poly(rng, F97, deg) + t ** (deg + 1), _random_poly(rng, F97, deg // 2) + t ** (deg // 2))
+             for deg in (4, 16, 64)]
+    maps = [(RatFunc(a, b), RatFunc(b, a)) for a, b in pairs]
+    monkeypatch.setattr(FFElem, "__init__", counted)
+    for (a, b), (f, g) in zip(pairs, maps):
+        for run in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: divmod(a, b),
+                    lambda: poly_gcd(a, b)):
+            assert built(run) == 0
+        assert built(lambda: f.compose(g)) <= 8
+    for cert in certs:
+        assert built(lambda: invariance_check(cert.sigma, cert.form)) <= 8
 
 
 # ---------------------------------------------------------------- factorization
@@ -476,14 +560,14 @@ def test_factor_multiplicities(field_args):
         assert dict(poly_factor(f)) == want
         if sympy is not None:
             x = sympy.Symbol("x")
-            coeffs = [c.coeffs[0] for c in reversed(f.coeffs)]
+            coeffs = list(reversed(f.coeffs))
             _, got = sympy.Poly(coeffs, x, modulus=field.p).factor_list()
             monic = {}
             for g, m in got:
                 cs = [int(c) % field.p for c in g.all_coeffs()]
                 inv = pow(cs[0], -1, field.p)
                 monic[tuple(c * inv % field.p for c in reversed(cs))] = m
-            assert monic == {tuple(c.coeffs[0] for c in g.coeffs): m for g, m in want.items()}
+            assert monic == {g.coeffs: m for g, m in want.items()}
 
 
 def test_factor_zero_rejected():
