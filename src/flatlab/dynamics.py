@@ -32,6 +32,7 @@ from .errors import BadCharacteristic, Inseparable, OrbitBoundExceeded, WildRami
 from .exactnum import (
     FFElem,
     _GFMatrix,
+    _from_digits,
     _gf_divmod,
     _gf_inv_mod,
     _gf_mul,
@@ -40,9 +41,10 @@ from .exactnum import (
     _kron_pack,
     _kron_unpack,
     _slot_bytes,
+    _to_digits,
     field_create,
 )
-from .ratfunc import Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, valuation_at_zero
+from .ratfunc import Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, root_multiplicity
 
 
 class P1Point:
@@ -133,7 +135,7 @@ def ram_index(sigma: RatFunc, pt: P1Point) -> int:
         g = work.reciprocal()
     else:
         g = work - target.value
-    e = valuation_at_zero(g.num)
+    e = root_multiplicity(g.num, 0)
     if e < 1:
         raise RuntimeError("moved point is not a zero")  # internal guard
     p = field.p
@@ -246,10 +248,7 @@ def vertex_key(field, pt: P1Point):
         return pt
     if pt.is_infinity:
         return field.order
-    n = 0
-    for c in pt.value.coeffs:
-        n = n * field.p + c
-    return n
+    return _from_digits(pt.value.coeffs, field.p)
 
 
 def vertex_point(field, v) -> P1Point:
@@ -258,10 +257,7 @@ def vertex_point(field, v) -> P1Point:
         return v
     if v == field.order:
         return INFINITY
-    coeffs = [0] * field.k
-    for i in range(field.k - 1, -1, -1):
-        v, coeffs[i] = divmod(v, field.p)
-    return P1Point(FFElem(field, tuple(coeffs)))
+    return P1Point(FFElem(field, tuple(_to_digits(v, field.p, field.k))))
 
 
 def frobenius_class(field, v):
@@ -275,6 +271,19 @@ def frobenius_class(field, v):
         out.append(P1Point(nxt))
         nxt = nxt ** field.p
     return sorted(out, key=point_key)
+
+
+def _class_min_poly(field, v):
+    """The minimal polynomial over F_p of the finite Frobenius class of
+    vertex v, as an int tuple, constant first, monic: the product of x - c
+    over the points c of the class."""
+    h = Poly.one(field)
+    for pt in frobenius_class(field, v):
+        h = h * Poly(field, (-pt.value, 1))
+    coeffs = [h.coeff(i).coeffs for i in range(h.degree + 1)]
+    if any(any(c[1:]) for c in coeffs):
+        raise RuntimeError("minimal polynomial not over F_p")  # internal guard
+    return tuple(c[0] for c in coeffs)
 
 
 class _ResidueWalk:
@@ -331,12 +340,6 @@ class _ResidueWalk:
             self.conjugates = _GFMatrix(rows, p, p - 1)
         self.subfield = p ** (k - 1)  # the keys of the points of F_p are its multiples
 
-    def _digits(self, v):
-        out = [0] * self.k
-        for i in range(self.k - 1, -1, -1):
-            v, out[i] = divmod(v, self.p)
-        return out
-
     def _evaluate(self, coeffs, a):
         """The residue list of the polynomial coeffs at the point packed in a."""
         p, reduce = self.p, self.reduce
@@ -347,27 +350,22 @@ class _ResidueWalk:
         if v == self.inf:
             return self.at_inf
         p, reduce = self.p, self.reduce
-        a = _kron_pack(self._digits(v), self.size)
+        a = _kron_pack(_to_digits(v, p, self.k), self.size)
         den = _gf_trim(self._evaluate(self.den, a))
         if not den:
             return self.inf
         inv = _gf_inv_mod(den, self.modulus, p)
-        n = 0
-        for c in reduce(reduce.pack(self._evaluate(self.num, a)) * reduce.pack(inv)):
-            n = n * p + c
-        return n
+        return _from_digits(reduce(reduce.pack(self._evaluate(self.num, a)) * reduce.pack(inv)), p)
 
     def canon(self, v):
         """(the least key in the class of v, the class size)."""
         if v == self.inf or v % self.subfield == 0:
             return v, 1
         p, k, conjugates = self.p, self.k, self.conjugates
-        conj = conjugates(conjugates.pack(self._digits(v)))
+        conj = conjugates(conjugates.pack(_to_digits(v, p, k)))
         best = v
         for i in range(k - 1):
-            n = 0
-            for c in conj[i * k:(i + 1) * k]:
-                n = n * p + c
+            n = _from_digits(conj[i * k:(i + 1) * k], p)
             if n == v:
                 return best, i + 1
             if n < best:

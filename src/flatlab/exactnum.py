@@ -234,15 +234,21 @@ def _hom_eval(f, P, qpow, p):
     return acc
 
 
-def _gf_pow_mod(a, e, m, p):
-    r = [1]
-    a = _gf_divmod(a, m, p)[1]
+def _power(x, e, one, mul):
+    """x^e for an int e >= 0 by square-and-multiply under mul, with no
+    squaring past the top bit: the one exponentiation loop in flatlab."""
+    result = one
     while e:
         if e & 1:
-            r = _gf_divmod(_gf_mul(r, a, p), m, p)[1]
-        a = _gf_divmod(_gf_mul(a, a, p), m, p)[1]
+            result = mul(result, x)
         e >>= 1
-    return r
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def _gf_pow_mod(a, e, m, p):
+    return _power(_gf_divmod(a, m, p)[1], e, [1], lambda x, y: _gf_divmod(_gf_mul(x, y, p), m, p)[1])
 
 
 def _gf_inv_mod(a, m, p):
@@ -289,18 +295,31 @@ def _gf_irreducible(f, p):
     return True
 
 
+def _from_digits(digits, p):
+    """The int with the given base-p digits, the first leading: for the
+    residues c_0, ..., c_{k-1} of an F_{p^k} element, int order is the
+    lexicographic order of (c_0, ..., c_{k-1})."""
+    n = 0
+    for c in digits:
+        n = n * p + c
+    return n
+
+
+def _to_digits(n, p, k):
+    """The k base-p digits of n, the first leading (inverse of _from_digits)."""
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        n, out[i] = divmod(n, p)
+    return out
+
+
 def _find_modulus(p, k):
     # first irreducible monic f = c_0 + c_1 x + ... + x^k in lexicographic
     # order of (c_0, ..., c_{k-1}); reproducible without Conway tables.
     # idx holds c_0 in its leading base-p digit, and the candidates below
     # p^(k-1) have c_0 = 0, so x divides them: the search starts past them
     for idx in range(p ** (k - 1), p ** k):
-        coeffs = []
-        t = idx
-        for pos in range(k - 1, -1, -1):
-            q, t = divmod(t, p ** pos)
-            coeffs.append(q)
-        f = coeffs + [1]
+        f = _to_digits(idx, p, k) + [1]
         if _gf_irreducible(f, p):
             return tuple(f)
     raise RuntimeError("no irreducible modulus found")  # unreachable
@@ -505,14 +524,7 @@ class FFElem:
                 return self.field.one
             raise DivisionByZero("0 to a negative power")
         base = self if e >= 0 else self.inverse()
-        e = abs(e) % (self.field.order - 1)
-        result = self.field.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(base, abs(e) % (self.field.order - 1), self.field.one, FFElem.__mul__)
 
     def pth_root(self):
         """The unique b with b^p = self (Frobenius is bijective)."""
@@ -520,27 +532,6 @@ class FFElem:
         if f.k == 1:
             return self
         return self ** (f.p ** (f.k - 1))
-
-    def min_poly(self):
-        """Minimal polynomial over F_p as an int tuple, constant first, monic."""
-        f = self.field
-        orbit = [self]
-        nxt = self ** f.p
-        while nxt != self:
-            orbit.append(nxt)
-            nxt = nxt ** f.p
-        # product of (x - c) over the Frobenius orbit, in F_{p^k}[x]
-        poly = [f.one]
-        for c in orbit:
-            poly = [f.zero] + poly
-            for i in range(len(poly) - 1):
-                poly[i] = poly[i] - c * poly[i + 1]
-        out = []
-        for c in poly:
-            if any(c.coeffs[1:]):
-                raise RuntimeError("minimal polynomial not over F_p")
-            out.append(c.coeffs[0])
-        return tuple(out)
 
     def __bool__(self):
         return any(self.coeffs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import mat_kernel
-from .dynamics import INFINITY, P1Point, postcritical_graph, vertex_key
+from .dynamics import INFINITY, P1Point, _class_min_poly, postcritical_graph, vertex_key
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _Horner, _poly_pth_root, root_multiplicity
 
@@ -192,7 +192,7 @@ def _pole_orbits(orbifold):
     for v in orbifold.postcritical:
         pt = orbifold.point(v)
         if not pt.is_infinity:
-            orbits.append((pt.value.min_poly(), orbifold.mu[v]))
+            orbits.append((_class_min_poly(orbifold.field, v), orbifold.mu[v]))
     orbits.sort(key=lambda item: (len(item[0]), item[0]))
     return orbits
 

@@ -33,6 +33,7 @@ from .exactnum import (
     _gf_gcd,
     _gf_mul,
     _hom_eval,
+    _power,
     _prime_factors,
     field_create,
     is_prime,
@@ -214,15 +215,7 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take nonnegative int exponents")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:  # no squaring past the top bit
-                base = base * base
-        return result
+        return _power(self, e, Poly.one(self.field), Poly.__mul__)
 
     def monic(self):
         if self.is_zero:
@@ -286,16 +279,6 @@ def root_multiplicity(f: Poly, a) -> int:
             return m
         m += 1
         f = q
-
-
-def valuation_at_zero(f: Poly) -> int:
-    """Largest v with t^v dividing f; f != 0."""
-    if f.is_zero:
-        raise ZeroPolynomial("valuation of the zero polynomial")
-    v = 0
-    while not f.coeffs[v]:
-        v += 1
-    return v
 
 
 # ----------------------------------------------------------------------
@@ -496,10 +479,10 @@ class _Horner:
     __slots__ = ("P", "qpow")
 
     def __init__(self, inner, top):
-        self.P = inner.num
+        self.P, Q = inner.num, inner.den
         self.qpow = [Poly.one(inner.field)]
-        for _ in range(top):
-            self.qpow.append(self.qpow[-1] * inner.den)
+        for _ in range(top):  # Q = 1 for a polynomial inner map: no products
+            self.qpow.append(self.qpow[-1] * Q if Q.degree else Q)
 
     def hom(self, f, m):
         """Q^m f(P/Q) for a polynomial f of degree at most m."""
@@ -695,14 +678,7 @@ def parse_ratfunc(text: str, field: Field) -> RatFunc:
 # ----------------------------------------------------------------------
 
 def _poly_powmod(base, e, mod):
-    result = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return _power(base % mod, e, Poly.one(base.field), lambda a, b: a * b % mod)
 
 
 def _poly_pth_root(f):
@@ -862,7 +838,7 @@ def rational_roots(f: Poly):
     if not f.field.is_rationals:
         raise FieldMismatch("rational_roots works over Q")
     out = []
-    v = valuation_at_zero(f)
+    v = root_multiplicity(f, 0)
     if v:
         out.append((Fraction(0), v))
         t = Poly.gen(f.field)

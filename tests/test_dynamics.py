@@ -9,15 +9,18 @@ from flatlab import cli
 from flatlab import (
     INFINITY,
     P1Point,
+    Poly,
     critical_locus,
     field_create,
     p1_eval,
     parse_ratfunc,
+    poly_factor,
+    poly_is_irreducible,
     postcritical_graph,
     ram_index,
     rationals,
 )
-from flatlab.dynamics import _ResidueWalk, frobenius_class, vertex_key, vertex_point
+from flatlab.dynamics import _class_min_poly, _ResidueWalk, frobenius_class, point_key, vertex_key, vertex_point
 from flatlab.errors import BadCharacteristic, Inseparable
 
 F5 = field_create(5)
@@ -229,6 +232,45 @@ def test_residue_walk_matches_p1_eval(expr, p, k):
         rep, size = walk.canon(key)
         conjugates = frobenius_class(ext, key)
         assert (rep, size) == (vertex_key(ext, conjugates[0]), len(conjugates))
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (3, 4)])
+def test_vertex_key_codec_round_trips_in_point_key_order(p, k):
+    ext = field_create(p, k)
+    points = [P1Point(a) for a in ext.elements()] + [INFINITY]
+    keys = [vertex_key(ext, point) for point in points]
+    assert [vertex_point(ext, key) for key in keys] == points
+    assert sorted(range(len(points)), key=keys.__getitem__) == sorted(
+        range(len(points)), key=lambda i: point_key(points[i]))
+
+
+def test_class_min_poly_is_the_irreducible_of_the_class():
+    # checked against poly_is_irreducible, evaluation at every conjugate,
+    # and, at a critical class, the factor of the Wronskian vanishing there
+    rng = random.Random(10)
+    maps = [parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11))]  # classes in F(11^5)
+    for p in (5, 7, 11, 13):
+        maps += [random_separable_map(rng, field_create(p), 4) for _ in range(3)]
+    for sigma in maps:
+        Fp = sigma.field
+        if sigma.degree < 2 or Fp.p <= sigma.degree:
+            continue
+        wron = sigma.num.derivative() * sigma.den - sigma.num * sigma.den.derivative()
+        factors = [g for g, _ in poly_factor(wron)]
+        g = postcritical_graph(sigma)
+        ext = g.field
+        for v in g.vertices:
+            if g.point(v).is_infinity:
+                continue
+            minpoly = _class_min_poly(ext, v)
+            assert minpoly[-1] == 1
+            assert len(minpoly) - 1 == g.size(v)
+            assert poly_is_irreducible(Poly(Fp, minpoly))
+            for point in frobenius_class(ext, v):
+                assert not Poly(ext, minpoly).eval(point.value)
+            if v in g.critical:
+                vanishing = [f for f in factors if not f.lift_to(ext).eval(g.point(v).value)]
+                assert [f.coeffs for f in vanishing] == [minpoly]
 
 
 def _char0_graph(expr, monkeypatch):

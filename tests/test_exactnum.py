@@ -18,6 +18,7 @@ from flatlab.exactnum import (
     _gf_mul,
     _gf_sub,
     _gf_trim,
+    _power,
 )
 
 
@@ -354,3 +355,58 @@ def test_pow_accepts_huge_exponents():
     e = 10 ** 30
     assert g ** e == g ** (e % 24)
     assert g ** (-e) == (g ** e).inverse()
+
+
+POWER_EXPONENTS = sorted({0, 1} | {e for j in range(1, 21) for e in (2 ** j, 2 ** j - 1)})
+
+
+def _check_power_against_products(x, one, mul, top):
+    # x^e for e = 0, 1, 2^j, 2^j - 1 up to top, by one running product
+    wanted = {e for e in POWER_EXPONENTS if e <= top}
+    acc = one
+    for e in range(top + 1):
+        if e in wanted:
+            assert _power(x, e, one, mul) == acc, e
+        acc = mul(acc, x)
+
+
+def test_power_matches_repeated_multiplication_mod_10007():
+    _check_power_against_products(1234, 1, lambda a, b: a * b % 10007, 2 ** 20)
+
+
+def test_power_matches_repeated_multiplication_mod_cubic():
+    # residue lists over F_97 modulo a cubic; a running product to 2^20
+    # would take seconds, and the int case above reaches it
+    m, p = [3, 1, 0, 1], 97
+    _check_power_against_products([5, 7, 11], [1], lambda a, b: exactnum._gf_divmod(_gf_mul(a, b, p), m, p)[1], 2 ** 12)
+
+
+def test_power_matches_repeated_multiplication_in_f343():
+    F = field_create(7, 3)
+    g = F.elem_from_index(100)
+    _check_power_against_products(g, F.one, FFElem.__mul__, 2 ** 12)
+    # the unit group has order 342: exponents up to 2^20 against the
+    # running product up to e mod 342
+    powers = [F.one]
+    for _ in range(341):
+        powers.append(powers[-1] * g)
+    assert powers[-1] * g == F.one
+    for e in POWER_EXPONENTS:
+        assert _power(g, e, F.one, FFElem.__mul__) == powers[e % 342] == g ** e
+
+
+def test_power_multiplication_count():
+    # elements are 1-tuples under addition, so a product is a fresh tuple
+    # and a squaring is the one call whose operands are the same object
+    for e in POWER_EXPONENTS + list(range(2, 70)) + [10 ** 30, 3 ** 50]:
+        squarings, products = [], []
+
+        def mul(a, b):
+            (squarings if a is b else products).append(1)
+            return (a[0] + b[0],)
+
+        assert _power((1,), e, (0,), mul) == (e,)
+        bits = e.bit_length()
+        assert len(squarings) == max(bits - 1, 0), e  # none past the top bit
+        assert len(products) == bin(e).count("1"), e
+        assert len(squarings) + len(products) <= max(2 * bits - 1, 0), e

@@ -16,7 +16,7 @@ from flatlab import (
     reduce_mod_p,
 )
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
+from flatlab.ratfunc import _Horner, _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
 
 Q = rationals()
 F5 = field_create(5)
@@ -408,6 +408,21 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den), lambda: e.compose(e)):
         assert longest(run) == dict.fromkeys(names, 0)
 
+
+def test_horner_builds_no_powers_of_a_constant_denominator(monkeypatch):
+    # a polynomial inner map has Q = 1: its powers need no products
+    from flatlab import ratfunc
+
+    F97 = field_create(97)
+    cube = parse_ratfunc("t^3", F97)
+    calls = []
+    original = ratfunc._gf_mul
+    monkeypatch.setattr(ratfunc, "_gf_mul", lambda *args: calls.append(1) or original(*args))
+    h = _Horner(cube, 60)
+    assert calls == []
+    assert h.qpow == [Poly.one(F97)] * 61
+    inner = parse_ratfunc("t^3/(t^2+5)", F97)
+    assert _Horner(inner, 6).qpow == [inner.den ** i for i in range(7)]
 
 @pytest.mark.parametrize("p", [5, 13, 97])
 def test_prime_field_ops_commute_with_lift(p):
