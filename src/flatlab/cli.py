@@ -19,10 +19,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import BadPrime, DegreeTooSmall, FlatlabError, OrbitBoundExceeded
+from .errors import BadPrime, DegreeTooSmall, FlatlabError, IrrationalCriticalPoints, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
-from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, rational_roots, reduce_mod_p
-from .dynamics import _RationalWalk, _critical_data, _orbit_graph, postcritical_graph
+from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, reduce_mod_p
+from .dynamics import postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
 from . import atlas
@@ -101,32 +101,19 @@ def _prime_worker(args):
     return report
 
 
+def _orbifold_json(data):
+    sig_res = parabolic_signature(data)
+    return {"chi": str(data.chi), "signature": _signature_json(sig_res), "parabolic": sig_res.parabolic}
+
+
 def _char0_report(sigma):
     """Best-effort orbifold over Q: only when the critical points are
-    rational and every critical orbit closes.  The ramification indices are
-    read off the Wronskian W by the mod-p rule, dynamics._critical_data:
-    e = 1 + m at a rational root of multiplicity m, e(inf) = 2 deg - 1 -
-    deg W (ram_index, kept public, is the tests' oracle for them).  A walk
-    stops as unsupported after 64 new points, or past _escape_bits(sigma),
-    where no orbit closes."""
-    n, d = sigma.num, sigma.den
-    wron = n.derivative() * d - n * d.derivative()  # nonzero: deg sigma >= 2
-    roots = rational_roots(wron)
-    if sum(m for _, m in roots) != wron.degree:
-        return {"supported": False, "reason": "critical points are not all rational"}
-    crits = _critical_data(sigma.degree, wron, roots)
+    rational and every critical orbit closes (dynamics.postcritical_graph)."""
     try:
-        graph = _orbit_graph(sigma, crits, _RationalWalk(sigma), max_steps=64)
-    except OrbitBoundExceeded as exc:
+        graph = postcritical_graph(sigma)
+    except (IrrationalCriticalPoints, OrbitBoundExceeded) as exc:
         return {"supported": False, "reason": str(exc)}
-    data = orbifold_data(graph)
-    sig_res = parabolic_signature(data)
-    return {
-        "supported": True,
-        "chi": str(data.chi),
-        "signature": _signature_json(sig_res),
-        "parabolic": sig_res.parabolic,
-    }
+    return {"supported": True, **_orbifold_json(orbifold_data(graph))}
 
 
 def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8,
@@ -338,16 +325,13 @@ def cmd_orbifold(args):
     sig_p = reduce_mod_p(sigma, args.p)
     graph = postcritical_graph(sig_p)
     data = orbifold_data(graph)
-    sig_res = parabolic_signature(data)
     field = graph.field
     out = {
         "input": args.expr,
         "p": args.p,
         "splitting_field": repr(field),
         "postcritical": [{"point": str(pt), "mu": _mu_json(m)} for pt, m in data.points()],
-        "chi": str(data.chi),
-        "signature": _signature_json(sig_res),
-        "parabolic": sig_res.parabolic,
+        **_orbifold_json(data),
     }
     if field.k > 1:
         out["field_modulus"] = list(field.modulus)

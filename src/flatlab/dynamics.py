@@ -5,7 +5,9 @@ P^1 over a field k is identified with k plus a single point at infinity.
 The critical locus is located by factoring the Wronskian numerator
 W = P'Q - PQ' and collecting its roots inside one extension F_{p^k}
 (k = lcm of the irreducible factor degrees); forward orbits stay inside
-that extension because the map has prime-field coefficients.
+that extension because the map has prime-field coefficients.  Over Q the
+critical points must all be rational, and the orbits are walked with a
+height bound.
 
 For the same reason the Frobenius x -> x^p commutes with the map: it maps
 orbits to orbits and keeps every ramification index, so mu is constant on
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadCharacteristic, Inseparable, OrbitBoundExceeded, WildRamification
+from .errors import (BadCharacteristic, Inseparable, IrrationalCriticalPoints, OrbitBoundExceeded,
+                     WildRamification)
 from .exactnum import (
     FFElem,
     _GFMatrix,
@@ -44,7 +47,8 @@ from .exactnum import (
     _to_digits,
     field_create,
 )
-from .ratfunc import Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, root_multiplicity
+from .ratfunc import (Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, rational_roots,
+                      root_multiplicity)
 
 
 class P1Point:
@@ -168,30 +172,35 @@ def _critical_data(d, wron, roots):
 
 
 def critical_locus(sigma: RatFunc):
-    """All critical points of sigma over F_p inside one extension.
+    """All critical points of sigma over Q, or over F_p inside one extension.
 
-    Returns (extension field, [CriticalDatum...]) sorted by point.  Each root
-    of an irreducible factor g^m of the Wronskian W is a root of W of
-    multiplicity m, and _critical_data reads e = m + 1 there and
-    e(inf) = 2 deg - 1 - deg W.  ram_index, kept public, is the tests'
+    Returns (field, [CriticalDatum...]) sorted by point; field is Q or the
+    extension F_{p^k}.  Each root of an irreducible factor g^m of the
+    Wronskian W is a root of W of multiplicity m, and _critical_data reads
+    e = m + 1 there and e(inf) = 2 deg - 1 - deg W.  Over Q the roots are
+    rational_roots(W), and IrrationalCriticalPoints is raised when they do
+    not account for deg W.  ram_index, kept public, is the tests'
     independent oracle for these indices.
     """
     field = sigma.field
-    if field.is_rationals or field.k != 1:
-        raise ValueError("critical_locus expects a map over a prime field F_p")
+    if field.k != 1:
+        raise ValueError("critical_locus expects a map over Q or a prime field F_p")
     d = sigma.degree
     if d < 2:
         raise ValueError("critical_locus needs degree >= 2")
-    if field.p <= d:
+    if 0 < field.p <= d:
         raise BadCharacteristic(f"p = {field.p} <= deg sigma = {d}")
     n, q = sigma.num, sigma.den
     wron = n.derivative() * q - n * q.derivative()
     if wron.is_zero:
         raise Inseparable("identically zero derivative")  # unreachable for p > d
+    if field.is_rationals:
+        roots = rational_roots(wron)
+        if sum(m for _, m in roots) != wron.degree:
+            raise IrrationalCriticalPoints("critical points are not all rational")
+        return field, _critical_data(d, wron, roots)
     factors = poly_factor(wron)
-    k = 1
-    for g, _ in factors:
-        k = math.lcm(k, g.degree)
+    k = math.lcm(*(g.degree for g, _ in factors))
     ext = field_create(field.p, k) if k > 1 else field
     roots = [(root, m) for g, m in factors for root, _ in poly_roots(g.lift_to(ext))]
     return ext, _critical_data(d, wron, roots)
@@ -461,7 +470,10 @@ def _orbit_graph(sigma: RatFunc, crits, walk, max_steps=None) -> OrbitGraph:
 
 def postcritical_graph(sigma: RatFunc) -> OrbitGraph:
     """Critical points plus their forward orbits, one vertex per Frobenius
-    class, with weights and marks."""
+    class, with weights and marks.  Over Q a critical orbit that adds more
+    than 64 points, or passes the escape height, raises OrbitBoundExceeded."""
     ext, crits = critical_locus(sigma)
+    if ext.is_rationals:
+        return _orbit_graph(sigma, crits, _RationalWalk(sigma), max_steps=64)
     lifted = sigma.lift_to(ext)
     return _orbit_graph(lifted, crits, _ResidueWalk(lifted))

@@ -54,6 +54,10 @@ class OrbitBoundExceeded(FlatlabError):
     """A critical orbit over Q passed a walk bound; the message says which."""
 
 
+class IrrationalCriticalPoints(FlatlabError):
+    """A map over Q has critical points outside P^1(Q)."""
+
+
 class BadCharacteristic(FlatlabError):
     """The characteristic is too small for the requested operation."""
 

@@ -667,10 +667,14 @@ class _Parser:
 def parse_ratfunc(text: str, field: Field) -> RatFunc:
     """Parse an expression string into a canonical RatFunc over field.
 
-    Raises ParseError (with position) on malformed input and DivisionByZero
-    if the denominator is the zero polynomial.
+    Raises ParseError (with position) on malformed or too deeply nested
+    input, and DivisionByZero if the denominator is the zero polynomial.
     """
-    return _Parser(text, field).parse()
+    parser = _Parser(text, field)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ----------------------------------------------------------------------
@@ -745,34 +749,20 @@ def _factor_squarefree(f, rng):
     return irrs
 
 
-def _factor_into(f, out, rng):
-    # f monic; accumulates {irreducible: multiplicity} into out
-    if f.degree <= 0:
-        return
-    p = f.field.p
-    fp = f.derivative()
-    if fp.is_zero:
-        sub = {}
-        _factor_into(_poly_pth_root(f), sub, rng)
-        for g, m in sub.items():
-            out[g] = out.get(g, 0) + m * p
-        return
-    sf = f // poly_gcd(f, fp)
-    removed = Poly.one(f.field)
-    for g in _factor_squarefree(sf, rng):
-        m = 0
-        work = f
-        while True:
-            quo, rem = divmod(work, g)
-            if not rem.is_zero:
-                break
-            m += 1
-            work = quo
-        out[g] = out.get(g, 0) + m
-        removed = removed * g ** m
-    rest = f // removed
-    if rest.degree > 0:
-        _factor_into(rest, out, rng)
+def _factor_into(f, out, rng, scale=1):
+    """Record {irreducible: multiplicity * scale} of a monic f in out by the
+    square-free split (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 14): step i splits off w / gcd(w, c), the irreducibles of multiplicity
+    i for p not dividing i; the rest stays in c, a p-th power (f if f' = 0)."""
+    c = poly_gcd(f, f.derivative())
+    w, i = f // c, 1
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        for g in _factor_squarefree(w // y, rng):
+            out[g] = i * scale
+        w, c, i = y, c // y, i + 1
+    if c.degree > 0:
+        _factor_into(_poly_pth_root(c), out, rng, scale * f.field.p)
 
 
 def poly_factor(f: Poly):

@@ -209,6 +209,14 @@ def test_classify_parse_error(capsys):
     assert "error" in err
 
 
+def test_classify_deeply_nested_is_a_parse_error(capsys):
+    expr = "(" * 3000 + "t^2" + ")" * 3000
+    code, out, err = run(capsys, "classify", expr, "--primes", "5..7")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: expression nested too deeply")
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_invariant(capsys):

@@ -4,8 +4,6 @@ import pytest
 
 from conftest import lattes_expr, postcritical_points, preimages, random_separable_map
 
-from flatlab import cli
-
 from flatlab import (
     INFINITY,
     P1Point,
@@ -21,7 +19,7 @@ from flatlab import (
     rationals,
 )
 from flatlab.dynamics import _class_min_poly, _ResidueWalk, frobenius_class, point_key, vertex_key, vertex_point
-from flatlab.errors import BadCharacteristic, Inseparable
+from flatlab.errors import BadCharacteristic, Inseparable, IrrationalCriticalPoints, OrbitBoundExceeded
 
 F5 = field_create(5)
 F7 = field_create(7)
@@ -101,6 +99,20 @@ def test_critical_locus_cubic():
 def test_critical_locus_needs_large_p():
     with pytest.raises(BadCharacteristic):
         critical_locus(parse_ratfunc("t^3+t", field_create(3)))
+
+
+def test_critical_locus_over_q_needs_rational_points():
+    # W = 3t^2 + 1 has no rational root
+    with pytest.raises(IrrationalCriticalPoints, match="^critical points are not all rational$"):
+        critical_locus(parse_ratfunc("t^3+t+1", rationals()))
+    with pytest.raises(ValueError, match="over Q or a prime field"):
+        critical_locus(parse_ratfunc("t^3+t+1", field_create(5, 2)))
+
+
+def test_postcritical_graph_over_q_stops_a_wandering_orbit():
+    # 0 -> 1 -> 2 -> 5 -> 26 -> ... under t^2 + 1
+    with pytest.raises(OrbitBoundExceeded, match="^a critical orbit never closes"):
+        postcritical_graph(parse_ratfunc("t^2+1", rationals()))
 
 
 def test_critical_locus_extension_field():
@@ -273,16 +285,12 @@ def test_class_min_poly_is_the_irreducible_of_the_class():
                 assert [f.coeffs for f in vanishing] == [minpoly]
 
 
-def _char0_graph(expr, monkeypatch):
+def _char0_graph(expr):
     """The orbit graph that classify --char0 builds over Q."""
-    graphs = []
-    real = cli.orbifold_data
-    monkeypatch.setattr(cli, "orbifold_data", lambda g: graphs.append(g) or real(g))
-    assert cli._char0_report(parse_ratfunc(expr, rationals()))["supported"]
-    return graphs[0]
+    return postcritical_graph(parse_ratfunc(expr, rationals()))
 
 
-def test_graph_functional_and_closed(monkeypatch):
+def test_graph_functional_and_closed():
     graphs = [
         postcritical_graph(parse_ratfunc(expr, field))
         for expr, field in [
@@ -294,7 +302,7 @@ def test_graph_functional_and_closed(monkeypatch):
             (lattes_expr(), field_create(13)),  # critical points in F(13^2)
         ]
     ]
-    graphs += [_char0_graph(expr, monkeypatch) for expr in ("t^2-2", "t^2-1", "t^3", "1/t^2")]
+    graphs += [_char0_graph(expr) for expr in ("t^2-2", "t^2-1", "t^3", "1/t^2")]
     graphs.append(postcritical_graph(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11))))  # F(11^5)
     assert graphs[2].field.k == graphs[5].field.k == 2
     for g in graphs:

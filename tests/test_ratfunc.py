@@ -48,6 +48,12 @@ def test_parse_syntax_error_with_position():
         parse_ratfunc("t$1", Q)
 
 
+def test_parse_nested_parentheses():
+    # the recursive descent takes 200 levels; far deeper input is a
+    # ParseError (tests/test_cli.py), not a RecursionError
+    assert parse_ratfunc("(" * 200 + "t^2" + ")" * 200, Q) == parse_ratfunc("t^2", Q)
+
+
 def test_parse_zero_denominator():
     with pytest.raises(DivisionByZero):
         parse_ratfunc("1/(t-t)", Q)
@@ -559,16 +565,19 @@ def _random_irreducible(rng, field, degree):
             return g
 
 
-@pytest.mark.parametrize("field_args", [(5, 1), (7, 1), (13, 1), (5, 2)])
+@pytest.mark.parametrize("field_args", [(5, 1), (7, 1), (13, 1), (5, 2), (2, 1), (3, 1), (2, 3), (3, 2)])
 def test_factor_multiplicities(field_args):
-    # the critical locus reads ramification indices off these multiplicities
+    # the critical locus reads ramification indices off these multiplicities;
+    # p, p + 1 and 2p reach the p-th-power part of the square-free split
     field = field_create(*field_args)
+    p = field.p
     rng = random.Random(19 + field.order)
     sympy = pytest.importorskip("sympy") if field.k == 1 else None
     for _ in range(8):
         want, count = {}, rng.randrange(1, 5)
         while len(want) < count:
-            want.setdefault(_random_irreducible(rng, field, rng.randrange(1, 4)), rng.randrange(1, 4))
+            m = rng.choice([1, 2, 3, p, p + 1, 2 * p])
+            want.setdefault(_random_irreducible(rng, field, rng.randrange(1, 4)), m)
         f = Poly.constant(field, field.elem(rng.randrange(1, field.p)))
         for g, m in want.items():
             f = f * g ** m
