@@ -44,6 +44,7 @@ def _weights_for(policy, p):
 
 
 def _signature_json(sig_res):
+    # from counts: sig_res.signature would add a tuple as long as the list
     return [_mu_json(m) for m, n in sig_res.counts for _ in range(n)]
 
 
@@ -86,8 +87,6 @@ def _prime_worker(args):
                 for form in invariant_search(sig_p, weight, data):
                     forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
         timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-        if forms_found and data.chi != 0:
-            raise RuntimeError("invariant form found with chi != 0 (internal)")
     except (FlatlabError, RuntimeError) as exc:
         report["reason"] = f"{stage}: {type(exc).__name__}: {exc}"
         return report
@@ -129,7 +128,6 @@ def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8
             prime_reports = list(pool.map(_prime_worker, worker_args))
     else:
         prime_reports = [_prime_worker(a) for a in worker_args]
-    prime_reports.sort(key=lambda r: r["p"])
 
     good = [r for r in prime_reports if r["good"]]
     chi_zero = [r for r in good if Fraction(r["chi"]) == 0]
@@ -202,11 +200,9 @@ def _render_classify(report, stream):
 
 def cmd_classify(args):
     try:
-        pmin, pmax = args.primes.split("..")
-        pmin, pmax = int(pmin), int(pmax)
+        pmin, pmax = map(int, args.primes.split(".."))
     except ValueError:
-        print(f"bad prime range {args.primes!r}; expected MIN..MAX", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(f"bad prime range {args.primes!r}; expected MIN..MAX") from None
     if args.weights in ("fermat", "none"):
         policy = args.weights
     else:
@@ -215,8 +211,7 @@ def cmd_classify(args):
             if min(policy) < 1:
                 raise ValueError("weights must be positive")
         except ValueError:
-            print(f"bad weights {args.weights!r}", file=sys.stderr)
-            return USAGE_EXIT
+            raise ValueError(f"bad weights {args.weights!r}") from None
     report = run_classify(
         args.expr,
         pmin,
@@ -264,8 +259,7 @@ def cmd_construct(args):
     out = {"family": args.family}
     if args.family == "power":
         if len(args.params) != 1:
-            print("construct power needs one argument: d", file=sys.stderr)
-            return USAGE_EXIT
+            raise ValueError("construct power needs one argument: d")
         d = int(args.params[0])
         made = atlas.power_map(d, field)
         if isinstance(made, RatFunc):
@@ -275,8 +269,7 @@ def cmd_construct(args):
             out.update(_cert_json(made, var="t", p=p))
     elif args.family == "cheb":
         if len(args.params) != 1:
-            print("construct cheb needs one argument: d (negative d means -Cheb_|d|)", file=sys.stderr)
-            return USAGE_EXIT
+            raise ValueError("construct cheb needs one argument: d (negative d means -Cheb_|d|)")
         d = int(args.params[0])
         sign = -1 if d < 0 else 1
         made = atlas.chebyshev_poly(abs(d), sign, field)
@@ -287,19 +280,15 @@ def cmd_construct(args):
             )
         else:
             out.update(_cert_json(made, var="t", p=p))
-    elif args.family == "lattes":
+    else:  # "lattes"; argparse enforces the choices
         if len(args.params) != 3:
-            print("construct lattes needs three arguments: a b m", file=sys.stderr)
-            return USAGE_EXIT
+            raise ValueError("construct lattes needs three arguments: a b m")
         a, b = Fraction(args.params[0]), Fraction(args.params[1])
         m = int(args.params[2])
         curve = atlas.EllipticCurve(field, field.elem(a), field.elem(b))
         made = atlas.lattes_map(curve, m)
         out.update(_cert_json(made, var="x", p=p))
         out["curve"] = f"y^2 = x^3 + {a}*x + {b}"
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return USAGE_EXIT
     if args.json:
         print(json.dumps(out, indent=2))
     else:
@@ -399,7 +388,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code else 0
     try:
         return args.func(args)
-    except (FlatlabError, ValueError) as exc:
+    except (FlatlabError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -2,12 +2,12 @@
 locus, and the forward orbit graph of the critical points.
 
 P^1 over a field k is identified with k plus a single point at infinity.
-The critical locus is located by factoring the Wronskian numerator
-W = P'Q - PQ' and collecting its roots inside one extension F_{p^k}
-(k = lcm of the irreducible factor degrees); forward orbits stay inside
-that extension because the map has prime-field coefficients.  Over Q the
-critical points must all be rational, and the orbits are walked with a
-height bound.
+The critical locus is the set of roots of the Wronskian W = P'Q - PQ',
+taken first in the base field.  Over F_p the irreducible factors of W that
+those roots leave are split in one extension F_{p^k} (k = lcm of their
+degrees); forward orbits stay inside that extension because the map has
+prime-field coefficients.  Over Q the critical points must all be rational,
+and the orbits are walked with a height bound.
 
 For the same reason the Frobenius x -> x^p commutes with the map: it maps
 orbits to orbits and keeps every ramification index, so mu is constant on
@@ -28,6 +28,7 @@ oracle for the rule.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .errors import (BadCharacteristic, Inseparable, IrrationalCriticalPoints, OrbitBoundExceeded,
@@ -47,8 +48,8 @@ from .exactnum import (
     _to_digits,
     field_create,
 )
-from .ratfunc import (Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_roots, rational_roots,
-                      root_multiplicity)
+from .ratfunc import (Poly, RatFunc, _edf, _primitive_integer_pair, poly_factor, poly_roots,
+                      rational_roots, root_multiplicity)
 
 
 class P1Point:
@@ -124,7 +125,7 @@ def ram_index(sigma: RatFunc, pt: P1Point) -> int:
     """
     if sigma.is_constant:
         raise ValueError("ramification index of a constant map")
-    if sigma.derivative().is_zero:
+    if sigma.wronskian().is_zero:
         raise Inseparable("the map has identically zero derivative")
     field = sigma.field
     target = p1_eval(sigma, pt)
@@ -174,13 +175,14 @@ def _critical_data(d, wron, roots):
 def critical_locus(sigma: RatFunc):
     """All critical points of sigma over Q, or over F_p inside one extension.
 
-    Returns (field, [CriticalDatum...]) sorted by point; field is Q or the
-    extension F_{p^k}.  Each root of an irreducible factor g^m of the
-    Wronskian W is a root of W of multiplicity m, and _critical_data reads
-    e = m + 1 there and e(inf) = 2 deg - 1 - deg W.  Over Q the roots are
-    rational_roots(W), and IrrationalCriticalPoints is raised when they do
-    not account for deg W.  ram_index, kept public, is the tests'
-    independent oracle for these indices.
+    Returns (field, [CriticalDatum...]) sorted by point.  The base-field
+    roots of the Wronskian W come first; when they account for deg W, field
+    is Q or F_p.  Otherwise Q raises IrrationalCriticalPoints, and each
+    factor g^m of W irreducible over F_p of degree > 1 is split in F_{p^k},
+    k the lcm of those degrees, by equal-degree splitting alone (g is
+    squarefree with all its roots there, each a root of W of multiplicity
+    m).  _critical_data reads e = m + 1 at a root, e(inf) = 2d - 1 - deg W
+    at infinity; ram_index, kept public, is the tests' oracle for them.
     """
     field = sigma.field
     if field.k != 1:
@@ -190,19 +192,19 @@ def critical_locus(sigma: RatFunc):
         raise ValueError("critical_locus needs degree >= 2")
     if 0 < field.p <= d:
         raise BadCharacteristic(f"p = {field.p} <= deg sigma = {d}")
-    n, q = sigma.num, sigma.den
-    wron = n.derivative() * q - n * q.derivative()
+    wron = sigma.wronskian()
     if wron.is_zero:
         raise Inseparable("identically zero derivative")  # unreachable for p > d
-    if field.is_rationals:
-        roots = rational_roots(wron)
-        if sum(m for _, m in roots) != wron.degree:
-            raise IrrationalCriticalPoints("critical points are not all rational")
+    roots = rational_roots(wron) if field.is_rationals else poly_roots(wron)
+    if sum(m for _, m in roots) == wron.degree:
         return field, _critical_data(d, wron, roots)
-    factors = poly_factor(wron)
-    k = math.lcm(*(g.degree for g, _ in factors))
-    ext = field_create(field.p, k) if k > 1 else field
-    roots = [(root, m) for g, m in factors for root, _ in poly_roots(g.lift_to(ext))]
+    if field.is_rationals:
+        raise IrrationalCriticalPoints("critical points are not all rational")
+    rest = [(g, m) for g, m in poly_factor(wron) if g.degree > 1]
+    ext = field_create(field.p, math.lcm(*(g.degree for g, _ in rest)))
+    roots = [(ext.lift(a), m) for a, m in roots]
+    for g, m in rest:
+        roots += [(-h.coeff(0), m) for h in _edf(g.lift_to(ext), 1, random.Random(0))]
     return ext, _critical_data(d, wron, roots)
 
 
@@ -223,7 +225,7 @@ class OrbitGraph:
     data hold every ramified point, by Riemann-Hurwitz); critical: the
     critical classes, sorted; sizes: the class size where it is below the
     extension degree k (infinity and points of proper subfields).  sigma
-    and field are the lifted map and its extension field.
+    is the map over Q or F_p, and field holds its critical points.
     """
 
     sigma: RatFunc
@@ -296,7 +298,7 @@ def _class_min_poly(field, v):
 
 
 class _ResidueWalk:
-    """sigma on P^1(F_{p^k}) as vertex keys, for the orbit walk.
+    """sigma over F_p on P^1(F_{p^k}) as vertex keys, for the orbit walk.
 
     No FFElem or P1Point is made per point.  sigma's coefficients lie in
     F_p, so sigma(a) is computed by Kronecker substitution: the residues of
@@ -311,13 +313,11 @@ class _ResidueWalk:
 
     sort_key = None
 
-    def __init__(self, sigma):
-        field = sigma.field
+    def __init__(self, sigma, field):
         p, k = field.p, field.k
         self.p, self.k, self.inf = p, k, field.order
         self.modulus = modulus = list(field.modulus) if k > 1 else [0, 1]
-        self.num = [sigma.num.coeff(i).coeffs[0] for i in range(sigma.num.degree + 1)]
-        self.den = [sigma.den.coeff(i).coeffs[0] for i in range(sigma.den.degree + 1)]
+        self.num, self.den = list(sigma.num.coeffs), list(sigma.den.coeffs)
         if len(self.num) > len(self.den):
             self.at_inf = self.inf
         elif len(self.num) < len(self.den):
@@ -429,15 +429,14 @@ def _escape_bits(sigma):
     return -(-c.bit_length() // (d - 1)) + 1
 
 
-def _orbit_graph(sigma: RatFunc, crits, walk, max_steps=None) -> OrbitGraph:
-    """The orbit graph of sigma from its complete critical data crits,
-    walked one Frobenius class at a time: walk is a _ResidueWalk over
-    F_{p^k} or a _RationalWalk over Q.
+def _orbit_graph(sigma: RatFunc, field, crits, walk, max_steps=None) -> OrbitGraph:
+    """The orbit graph of sigma from its complete critical data crits over
+    field, walked one Frobenius class at a time: walk is a _ResidueWalk
+    over F_{p^k} or a _RationalWalk over Q.
 
     A critical orbit that adds more than max_steps vertices raises
     OrbitBoundExceeded.  Orbits in P^1(F_q) always close.
     """
-    field = sigma.field
     k = field.k
     weights, sizes, edges = {}, {}, {}
     for c in crits:
@@ -472,8 +471,7 @@ def postcritical_graph(sigma: RatFunc) -> OrbitGraph:
     """Critical points plus their forward orbits, one vertex per Frobenius
     class, with weights and marks.  Over Q a critical orbit that adds more
     than 64 points, or passes the escape height, raises OrbitBoundExceeded."""
-    ext, crits = critical_locus(sigma)
-    if ext.is_rationals:
-        return _orbit_graph(sigma, crits, _RationalWalk(sigma), max_steps=64)
-    lifted = sigma.lift_to(ext)
-    return _orbit_graph(lifted, crits, _ResidueWalk(lifted))
+    field, crits = critical_locus(sigma)
+    if field.is_rationals:
+        return _orbit_graph(sigma, field, crits, _RationalWalk(sigma), max_steps=64)
+    return _orbit_graph(sigma, field, crits, _ResidueWalk(sigma, field))

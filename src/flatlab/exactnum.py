@@ -378,12 +378,8 @@ class Field:
         return self.elem(1)
 
     def elem_from_index(self, i):
-        """The i-th element (0 <= i < order) in base-p digit order."""
-        coeffs = []
-        for _ in range(self.k):
-            i, r = divmod(i, self.p)
-            coeffs.append(r)
-        return FFElem(self, tuple(coeffs))
+        """The i-th element (0 <= i < order): c_j is i's base-p digit of weight p^j."""
+        return FFElem(self, tuple(reversed(_to_digits(i, self.p, self.k))))
 
     def elements(self):
         """Iterate all elements of a finite field in a fixed order."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import mat_kernel
-from .dynamics import INFINITY, P1Point, _class_min_poly, postcritical_graph, vertex_key
+from .dynamics import P1Point, _class_min_poly, postcritical_graph
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _Horner, _poly_pth_root, root_multiplicity
 
@@ -67,8 +67,8 @@ def _pullback_sides(sigma: RatFunc, omega: TupleForm):
         raise FieldMismatch(f"{sigma.field} vs {omega.field}")
     if sigma.is_constant:
         raise ValueError("pullback along a constant map")
-    P, Q = sigma.num, sigma.den
-    wron = P.derivative() * Q - P * Q.derivative()
+    Q = sigma.den
+    wron = sigma.wronskian()
     if wron.is_zero:
         raise Inseparable("pullback along an inseparable map")
     N, D, w = omega.func.num, omega.func.den, omega.weight
@@ -246,13 +246,11 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
         orbifold = orbifold_data(postcritical_graph(sigma))
     if orbifold.chi != 0:
         return []
-    orbits = _pole_orbits(orbifold)
-    mus = [mu for _, mu in orbits] + [orbifold.mu.get(vertex_key(orbifold.field, INFINITY), 1)]
-    nu = math.lcm(*(mu for mu in mus if mu != MU_INFINITY))
+    nu = math.lcm(*(mu for mu in orbifold.mu.values() if mu != MU_INFINITY))
     if weight % nu:
         return []
     h_nu = Poly.one(field)
-    for minpoly, mu in orbits:
+    for minpoly, mu in _pole_orbits(orbifold):
         h_nu = h_nu * Poly(field, minpoly) ** _pole_cap(mu, nu)
     lam = invariance_check(sigma, _inverse_form(h_nu, nu)).lam
     if lam is None or lam ** (weight // nu) != field.one:
@@ -281,7 +279,7 @@ def _solve(sigma, weight, h_int, deg_g):
     field = sigma.field
     h = Poly(field, h_int)
     P, Q = sigma.num, sigma.den
-    W = P.derivative() * Q - P * Q.derivative()
+    W = sigma.wronskian()
 
     # LHS column i: P^i Q^(deg_g - i) W^weight h ; RHS: t^i Hhat Q^(deg_g + 2 weight - deg_h)
     hhat = _Horner(sigma, h.degree).hom(h, h.degree)

@@ -422,10 +422,14 @@ class RatFunc:
             raise DivisionByZero("reciprocal of the zero function")
         return RatFunc(self.den, self.num)
 
+    def wronskian(self):
+        """The Wronskian P'Q - PQ' of self = P/Q: self' = W / Q^2."""
+        n, d = self.num, self.den
+        return n.derivative() * d - n * d.derivative()
+
     def derivative(self):
         """Quotient-rule derivative, canonical form."""
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+        return RatFunc(self.wronskian(), self.den * self.den)
 
     def compose(self, inner):
         """self after inner; clears denominators by Horner homogenization
@@ -911,4 +915,5 @@ def reduce_mod_p(sigma: RatFunc, p: int) -> RatFunc:
         raise BadPrime(p, "degree drops mod p")
     if poly_gcd(nbar, dbar).degree > 0:
         raise BadPrime(p, "numerator and denominator share a factor mod p (resultant = 0)")
-    return RatFunc(nbar, dbar)
+    c = Fp.one / dbar.lc()
+    return RatFunc._coprime(nbar.scale(c), dbar.scale(c))

@@ -48,7 +48,7 @@ def mu_oracle(graph, max_m=12, cap=2 ** 32, stable_window=None):
     if stable_window is None:
         stable_window = max_m // 2
     field = graph.field
-    sig = graph.sigma
+    sig = graph.sigma.lift_to(field)
     pts = [P1Point(e) for e in field.elements()] + [INFINITY]
     e_of = {pt: ram_index(sig, pt) for pt in pts}
     step = {pt: p1_eval(sig, pt) for pt in pts}

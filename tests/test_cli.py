@@ -276,6 +276,13 @@ def test_construct_bad_input(capsys):
     assert code == 3
 
 
+def test_construct_zero_denominator_is_a_usage_error(capsys):
+    # Fraction("1/0") raises ZeroDivisionError; exit 1 would read as not-flat
+    code, out, err = run(capsys, "construct", "lattes", "1/0", "0", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- orbifold
 
 def test_orbifold_report(capsys):
@@ -311,7 +318,7 @@ def test_every_emitted_form_verifies(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["classify"]) == 3 or True  # argparse SystemExit path
+    assert main(["classify"]) == 3  # argparse SystemExit path
     code, _, _ = run(capsys, "classify", "t^2", "--primes", "bad")
     assert code == 3
 

@@ -113,6 +113,16 @@ def test_unit_group_and_pth_root_exhaustive(p, k):
             assert a ** (F.order - 1) == F.one
 
 
+@pytest.mark.parametrize("p,k", [(5, 3), (3, 4), (7, 2), (2, 3)])
+def test_elements_in_base_p_digit_order(p, k):
+    # c_j of the i-th element is the base-p digit of i of weight p^j
+    F = field_create(p, k)
+    elems = list(F.elements())
+    assert len(elems) == p ** k
+    for i, a in enumerate(elems):
+        assert a.coeffs == tuple(i // p ** j % p for j in range(k))
+
+
 def test_pth_root_examples():
     F5 = field_create(5)
     for a in F5.elements():

@@ -195,6 +195,8 @@ def test_derivative_examples():
     assert parse_ratfunc("t^5", F5).derivative().is_zero
     d = parse_ratfunc("t^2-2", F7).derivative()
     assert d.num.eval(F7.elem(5)) == F7.elem(3)  # 2*5 = 10 = 3 mod 7
+    # P'Q - PQ' of the canonical form P/Q = (1/2 t^2 + 1/2)/t
+    assert str(parse_ratfunc("(t^2+1)/(2*t)", Q).wronskian()) == "1/2*t^2 - 1/2"
 
 
 def test_chain_rule():
