@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadCharacteristic, BadPrime, IdentityCheckFailed, SingularCurve
-from .exactnum import Field
+from .exactnum import Field, rationals
 from .forms import TupleForm, invariance_check
 from .ratfunc import Poly, RatFunc
 
@@ -27,10 +27,6 @@ class FlatCertificate:
     sigma: RatFunc
     form: TupleForm
     lam: object
-
-    @property
-    def invariant(self):
-        return self.lam == self.sigma.field.one
 
 
 def _certify(family, sigma, form, lam):
@@ -93,8 +89,6 @@ def chebyshev_poly(d: int, sign: int = 1, field: Field | None = None):
         raise ValueError("chebyshev_poly needs d >= 2")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    from .exactnum import rationals
-
     if field is None:
         field = rationals()
     if not field.is_rationals:

@@ -329,30 +329,21 @@ class _ResidueWalk:
         d = max(len(self.num), len(self.den)) - 1
         self.width = d * (k - 1) + 1  # >= 2k - 1, the length of a product
         self.size = _slot_bytes((d + 1) * (p - 1) * (k * (p - 1)) ** d)
-        xj = [[1]]  # x^j mod m
-        for _ in range(self.width - 1):
-            xj.append(_gf_divmod([0] + xj[-1], modulus, p)[1])
-        rows = [[r[i] if i < len(r) else 0 for r in xj] for i in range(k)]
         # applied to residue lists and to products of two, entries <= k (p - 1)^2
-        self.reduce = _GFMatrix(rows, p, k * (p - 1) ** 2)
+        self.reduce = _GFMatrix(_power_columns([0, 1], self.width, modulus, p), p, k * (p - 1) ** 2)
         if k > 1:
-            # x -> x^p is the matrix whose column j is x^(j p) mod m
-            gp = _gf_pow_mod([0, 1], p, modulus, p)
-            cols = [[1]]
+            # block i = 1..k-1 is (x -> x^p)^i: column j is g^j mod m, g = x^(p^i)
+            rows, g = [], [0, 1]
             for _ in range(k - 1):
-                cols.append(_gf_divmod(_gf_mul(cols[-1], gp, p), modulus, p)[1])
-            frob = [[c[i] if i < len(c) else 0 for c in cols] for i in range(k)]
-            power, rows = frob, []
-            for _ in range(k - 1):
-                rows += power
-                power = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*frob)] for row in power]
+                g = _gf_pow_mod(g, p, modulus, p)
+                rows += _power_columns(g, k, modulus, p)
             self.conjugates = _GFMatrix(rows, p, p - 1)
         self.subfield = p ** (k - 1)  # the keys of the points of F_p are its multiples
 
     def _evaluate(self, coeffs, a):
         """The residue list of the polynomial coeffs at the point packed in a."""
         p, reduce = self.p, self.reduce
-        slots = _kron_unpack(_horner(coeffs, a), self.size, self.width)
+        slots = _kron_unpack(_from_digits(reversed(coeffs), a), self.size, self.width)
         return reduce(reduce.pack([c % p for c in slots]))
 
     def step(self, v):
@@ -382,11 +373,12 @@ class _ResidueWalk:
         return best, k
 
 
-def _horner(coeffs, a):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
+def _power_columns(g, n, modulus, p):
+    """The deg(modulus) x n matrix over F_p whose column j is g^j mod modulus."""
+    cols = [[1]]
+    for _ in range(n - 1):
+        cols.append(_gf_divmod(_gf_mul(cols[-1], g, p), modulus, p)[1])
+    return [[c[i] if i < len(c) else 0 for c in cols] for i in range(len(modulus) - 1)]
 
 
 class _RationalWalk:

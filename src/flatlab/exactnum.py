@@ -298,7 +298,8 @@ def _gf_irreducible(f, p):
 def _from_digits(digits, p):
     """The int with the given base-p digits, the first leading: for the
     residues c_0, ..., c_{k-1} of an F_{p^k} element, int order is the
-    lexicographic order of (c_0, ..., c_{k-1})."""
+    lexicographic order of (c_0, ..., c_{k-1}).  It is also the package's
+    one scalar Horner loop: sum c_i a^i is _from_digits(reversed(c), a)."""
     n = 0
     for c in digits:
         n = n * p + c

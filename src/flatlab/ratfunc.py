@@ -27,6 +27,7 @@ from .errors import (
 from .exactnum import (
     Field,
     FFElem,
+    _from_digits,
     _gf_add,
     _gf_deriv,
     _gf_divmod,
@@ -229,11 +230,7 @@ class Poly:
         return Poly._make(self.field, out)
 
     def eval(self, a):
-        a = self.field.elem(a)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        return self.field.elem(_from_digits(reversed(self.coeffs), self.field.elem(a)))
 
     def lift_to(self, ext):
         """Lift a prime-field polynomial into an extension field."""
@@ -850,7 +847,7 @@ def rational_roots(f: Poly):
         r, mod = r.coeffs[0], p
         while mod <= 2 * abs(s[0] * s[-1]):
             mod *= mod  # Newton step: a simple root mod m lifts to one mod m^2
-            r = (r - _eval_mod(s, r, mod) * pow(_eval_mod(ds, r, mod), -1, mod)) % mod
+            r = (r - _from_digits(reversed(s), r) * pow(_from_digits(reversed(ds), r), -1, mod)) % mod
         z = s[-1] * r % mod
         cand = Fraction(z - mod if 2 * z > mod else z, s[-1])
         m = root_multiplicity(f, cand)
@@ -859,19 +856,13 @@ def rational_roots(f: Poly):
     return sorted(out)
 
 
-def _eval_mod(a, x, mod):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 # ----------------------------------------------------------------------
 # Reduction of a map over Q modulo a prime
 # ----------------------------------------------------------------------
 
 def _primitive_integer_pair(sigma):
-    """(P, Q) integer coefficient lists with joint content 1, Q lc > 0."""
+    """(P, Q) integer coefficient lists with joint content 1; Q's leading
+    coefficient is L / g > 0, because sigma's denominator is monic."""
     L = 1
     for c in list(sigma.num.coeffs) + list(sigma.den.coeffs):
         L = L * c.denominator // math.gcd(L, c.denominator)
@@ -882,9 +873,6 @@ def _primitive_integer_pair(sigma):
         g = math.gcd(g, c)
     np_ = [c // g for c in np_]
     dp = [c // g for c in dp]
-    if dp[-1] < 0:
-        np_ = [-c for c in np_]
-        dp = [-c for c in dp]
     return np_, dp
 
 

@@ -74,6 +74,8 @@ def test_classify_reports_bad_primes(capsys):
     by_p = {item["p"]: item for item in doc["primes"]}
     assert not by_p[2]["good"] and not by_p[3]["good"]
     assert by_p[5]["good"] and by_p[7]["good"]
+    _, out, _ = run(capsys, "classify", "t^3-3*t", "--primes", "2..12")
+    assert "  p=2   bad   p in {2, 3} is excluded" in out.splitlines()
 
 
 @pytest.mark.parametrize("stage, name, exc", [
@@ -233,6 +235,13 @@ def test_verify_semi_invariant_lattes(capsys):
     assert "confirmed" in out
 
 
+def test_verify_verbose(capsys):
+    code, out, _ = run(capsys, "verify", "t^2", "--p", "5", "--form", "1/t^4", "--weight", "4",
+                       "--verbose")
+    assert code == 0
+    assert out.splitlines() == ["sigma mod 5: t^2", "pullback: (1/t^4) (dt)^4", "invariant"]
+
+
 def test_verify_neither(capsys):
     code, out, _ = run(capsys, "verify", "t^2", "--p", "5", "--form", "1/t^3", "--weight", "4")
     assert code == 0
@@ -276,6 +285,16 @@ def test_construct_bad_input(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("params, message", [
+    (("power",), "construct power needs one argument: d"),
+    (("cheb", "1", "2"), "construct cheb needs one argument: d (negative d means -Cheb_|d|)"),
+    (("lattes", "1", "0"), "construct lattes needs three arguments: a b m"),
+])
+def test_construct_argument_count(capsys, params, message):
+    code, out, err = run(capsys, "construct", *params)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_construct_zero_denominator_is_a_usage_error(capsys):
     # Fraction("1/0") raises ZeroDivisionError; exit 1 would read as not-flat
     code, out, err = run(capsys, "construct", "lattes", "1/0", "0", "2")
@@ -301,6 +320,13 @@ def test_orbifold_extension_field(capsys):
     doc = json.loads(out)
     assert doc["splitting_field"] == "F(5^2)"
     assert "field_modulus" in doc
+    code, out, _ = run(capsys, "orbifold", "t^3+t+1", "--p", "5")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "map: t^3+t+1  p=5  splitting field: F(5^2)"
+    assert lines[1] == f"modulus (coefficients, constant first): {doc['field_modulus']}"
+    assert lines[2:-1] == [f"  mu({item['point']}) = {item['mu']}" for item in doc["postcritical"]]
+    assert lines[-1] == "chi = -2   signature (2,2,2,2,2,2,inf)   parabolic: False"
 
 
 # ---------------------------------------------------------------- consistency
@@ -319,6 +345,8 @@ def test_every_emitted_form_verifies(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["classify"]) == 3  # argparse SystemExit path
+    assert main(["--help"]) == 0
+    assert "usage: flatlab" in capsys.readouterr().out
     code, _, _ = run(capsys, "classify", "t^2", "--primes", "bad")
     assert code == 3
 
@@ -330,6 +358,9 @@ def test_classify_timings_opt_in(capsys):
     assert good and all("timings" in item for item in good)
     _, out, _ = run(capsys, "classify", "t^2", "--primes", "5..10", "--json")
     assert "timings" not in out
+    _, out, _ = run(capsys, "classify", "t^2", "--primes", "5..10", "--timings")
+    good = [line for line in out.splitlines() if line.startswith("  p=")]
+    assert len(good) == 2 and all("   [{'reduce_ms': " in line for line in good)
 
 
 def test_classify_weight_list_skips_p_divisible(capsys):

@@ -93,6 +93,9 @@ def test_prime_field_arithmetic():
     assert F7.elem(3) ** -1 == F7.elem(5)
     with pytest.raises(DivisionByZero):
         F5.one / F5.zero
+    assert F5.zero ** 0 == F5.one
+    with pytest.raises(DivisionByZero):
+        F5.zero ** -1
 
 
 def test_extension_multiplicative_group_order():
@@ -357,6 +360,13 @@ def test_kernel_mixed_field_rejected():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_rejects_composites_past_trial_division():
+    # 41 * 43 has no factor among the bases; 151 * 751 * 28351 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, and base 11 exposes it
+    assert not is_prime(1763)
+    assert not is_prime(3215031751)
 
 
 def test_pow_accepts_huge_exponents():

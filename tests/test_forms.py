@@ -311,6 +311,17 @@ def test_weight_reduce_weight_equal_p():
     assert invariance_check(sig, out).lam == F5.elem(2)
 
 
+def test_weight_reduce_logarithmic_derivative():
+    # weight p with df != 0: the semi-invariant t (dt)^5 of 2t (lambda = 2^5 = 4)
+    # reduces to its invariant logarithmic derivative (1/t) dt
+    sig = parse_ratfunc("2*t", F5)
+    w = form("t", 5, F5)
+    assert invariance_check(sig, w).lam == F5.elem(4)
+    out = weight_reduce(sig, w, 4)
+    assert out == form("1/t", 1, F5)
+    assert invariance_check(sig, out).invariant
+
+
 def test_weight_reduce_bad_certificate():
     sig = parse_ratfunc("t^2", F5)
     w = form("1/(t^5*(t-1)^5)", 5, F5)

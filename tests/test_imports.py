@@ -1,16 +1,20 @@
-"""Every name a flatlab module binds with ``from ... import`` is used there.
+"""Every name a flatlab module binds with ``from ... import`` is used there,
+and every module-level private function or class is referenced somewhere.
 
-A deletion that leaves an import behind fails here.  The package's
-``__init__.py`` re-exports names without using them, so it is not checked.
+A deletion that leaves an import or a helper behind fails here.  The
+package's ``__init__.py`` re-exports names without using them, so its
+imports are not checked.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "flatlab").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "flatlab").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_from_imports(source):
@@ -33,3 +37,54 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
+
+
+def orphaned_private_defs(defining, referencing=()):
+    """(file, line, name) for each module-level function or class named
+    _name in defining (file -> source) that no Name, Attribute or import
+    alias in defining or referencing refers to; a recursive call counts."""
+    trees = {file: ast.parse(source) for file, source in defining.items()}
+    used = set()
+    for tree in [*trees.values(), *map(ast.parse, referencing)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted((file, node.lineno, node.name) for file, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in used)
+
+
+def test_checker_flags_an_orphaned_helper():
+    src = textwrap.dedent("""\
+        def _called():
+            pass
+
+        def _recursive(n):
+            return _recursive(n - 1)
+
+        class _Orphan:
+            pass
+
+        def _imported():
+            pass
+
+        def _attr():
+            pass
+
+        def public():
+            _called()
+        """)
+    other = "from m import _imported\nimport m\nm._attr()\n"
+    assert orphaned_private_defs({"m": src}, [other]) == [("m", 7, "_Orphan")]
+    assert orphaned_private_defs({"m": src}) == [("m", 7, "_Orphan"), ("m", 10, "_imported"),
+                                                 ("m", 13, "_attr")]
+
+
+def test_no_orphaned_private_helpers():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert orphaned_private_defs(package, [p.read_text() for p in TESTS]) == []

@@ -242,6 +242,12 @@ def test_kummer_lattes_form():
     assert (cover.cover_degree, cover.genus) == (2, 1)
 
 
+def test_kummer_numerator_factor():
+    # t (dt)^2: a zero at 0 and a pole at infinity, each of order 1, n = 2
+    cover = kummer_genus(TupleForm(parse_ratfunc("t", F5), 2))
+    assert (cover.cover_degree, cover.genus) == (2, 0)
+
+
 def test_kummer_weight_divisible_by_p():
     with pytest.raises(WeightDivisibleByP):
         kummer_genus(TupleForm(parse_ratfunc("1/t^5", F5), 5))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,15 @@ def test_parse_syntax_error_with_position():
         parse_ratfunc("(t+1", Q)
     with pytest.raises(ParseError):
         parse_ratfunc("t$1", Q)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("t)", "unexpected ')' (at position 1)"),
+    ("t^2^3", "unexpected '^' (at position 3)"),
+])
+def test_parse_rejects_trailing_tokens(expr, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_ratfunc(expr, Q)
 
 
 def test_parse_nested_parentheses():
