@@ -68,9 +68,9 @@ def _prime_factors(n):
 # no trailing zeros ([] is the zero polynomial), every coefficient in
 # range(p).  This is the one F_p arithmetic path: it backs the modulus
 # search, FFElem arithmetic in extensions, and every prime-field Poly, whose
-# coefficients are such a list (sums, products, division, gcd, and the
+# coefficients are such a list (sums, products, division and gcd; the
 # homogenized substitution behind RatFunc.compose, form pullback and the
-# invariance check).
+# invariance check runs on these products).
 # ----------------------------------------------------------------------
 
 def _gf_trim(a):
@@ -102,13 +102,14 @@ _KRONECKER_MIN_LEN = 6
 
 # array typecodes by item size: slots of 1, 2, 4 or 8 bytes pack in C
 _SLOT_CODES = {array(c).itemsize: c for c in "BHILQ"}
+_SLOT_SIZES = tuple(sorted(_SLOT_CODES))
 
 
 def _slot_bytes(bound):
     """Bytes per Kronecker slot that holds every value up to bound: an
     array item size when one is large enough."""
     w = (bound.bit_length() + 7) // 8
-    return next((s for s in sorted(_SLOT_CODES) if s >= w), w)
+    return next((s for s in _SLOT_SIZES if s >= w), w)
 
 
 def _kron_pack(v, size):
@@ -220,18 +221,6 @@ def _gf_gcd(a, b, p):
 
 def _gf_deriv(a, p):
     return _gf_trim([(a[i] * i) % p for i in range(1, len(a))])
-
-
-def _hom_eval(f, P, qpow, p):
-    """sum f[i] P^i Q^(deg - i) by Horner in P, where qpow = [Q^0, ...,
-    Q^deg]: the numerator of f(P/Q) Q^deg."""
-    deg = len(qpow) - 1
-    acc = []
-    for i in range(deg, -1, -1):
-        acc = _gf_mul(acc, P, p)
-        if i < len(f) and f[i]:
-            acc = _gf_add(acc, [(c * f[i]) % p for c in qpow[deg - i]], p)
-    return acc
 
 
 def _power(x, e, one, mul):

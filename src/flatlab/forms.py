@@ -17,7 +17,7 @@ from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import mat_kernel
 from .dynamics import P1Point, _class_min_poly, postcritical_graph
 from .orbifold import MU_INFINITY, orbifold_data
-from .ratfunc import Poly, RatFunc, _Horner, _poly_pth_root, root_multiplicity
+from .ratfunc import Poly, RatFunc, _Substitution, _poly_pth_root, root_multiplicity
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _pullback_sides(sigma: RatFunc, omega: TupleForm):
     if wron.is_zero:
         raise Inseparable("pullback along an inseparable map")
     N, D, w = omega.func.num, omega.func.den, omega.weight
-    h = _Horner(sigma, max(N.degree, D.degree))
+    h = _Substitution(sigma)
     A = h.hom(N, N.degree)
     B = h.hom(D, D.degree)
     shift = D.degree - N.degree - 2 * w
@@ -282,7 +282,7 @@ def _solve(sigma, weight, h_int, deg_g):
     W = sigma.wronskian()
 
     # LHS column i: P^i Q^(deg_g - i) W^weight h ; RHS: t^i Hhat Q^(deg_g + 2 weight - deg_h)
-    hhat = _Horner(sigma, h.degree).hom(h, h.degree)
+    hhat = _Substitution(sigma).hom(h, h.degree)
     rhs_base = (hhat * Q ** (deg_g + 2 * weight - h.degree)).coeffs
     qt = [W ** weight * h]
     for _ in range(deg_g):

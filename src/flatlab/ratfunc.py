@@ -33,7 +33,6 @@ from .exactnum import (
     _gf_divmod,
     _gf_gcd,
     _gf_mul,
-    _hom_eval,
     _power,
     _prime_factors,
     field_create,
@@ -176,10 +175,11 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = self.field.elem(c)
         if self._over_prime_field:
-            p, c = self.field.p, c.coeffs[0]
+            p = self.field.p
+            c = c % p if isinstance(c, int) else self.field.elem(c).coeffs[0]
             return Poly._make(self.field, [a * c % p for a in self.coeffs])
+        c = self.field.elem(c)
         return Poly._make(self.field, [a * c for a in self.coeffs])
 
     def __divmod__(self, other):
@@ -429,13 +429,13 @@ class RatFunc:
         return RatFunc(self.wronskian(), self.den * self.den)
 
     def compose(self, inner):
-        """self after inner; clears denominators by Horner homogenization
-        (_Horner)."""
+        """self after inner; clears denominators by homogenized
+        substitution (_Substitution)."""
         o = self._coerce(inner)
         if o is None:
             raise TypeError("compose expects a rational function")
         m = max(self.num.degree, self.den.degree, 0)
-        h = _Horner(o, m)
+        h = _Substitution(o)
         den = h.hom(self.den, m)
         if den.is_zero:
             raise DivisionByZero("composition evaluates to the constant infinity")
@@ -471,30 +471,60 @@ class RatFunc:
         return f"RatFunc({self} over {self.field})"
 
 
-class _Horner:
+class _Substitution:
     """Homogenized substitution along inner = P/Q: hom(f, m) = Q^m f(P/Q)
-    for deg f <= m <= top, by Horner in P over precomputed powers of Q.
-    Over F_p the loop is exactnum._hom_eval on the coefficient residues.
+    for deg f <= m, by splitting f in halves (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*).  For the n coefficients of
+    g = g_lo + t^h g_hi with h = n // 2,
+
+        Q^(n-1) g(P/Q) = Q^(n-h) [Q^(h-1) g_lo(P/Q)] + P^h [Q^(n-h-1) g_hi(P/Q)],
+
+    so each of the log2 n levels is one pass of products over the whole
+    result.  powers memoizes the few powers of P and Q the halves need.
     """
 
-    __slots__ = ("P", "qpow")
+    __slots__ = ("field", "powers")
 
-    def __init__(self, inner, top):
-        self.P, Q = inner.num, inner.den
-        self.qpow = [Poly.one(inner.field)]
-        for _ in range(top):  # Q = 1 for a polynomial inner map: no products
-            self.qpow.append(self.qpow[-1] * Q if Q.degree else Q)
+    def __init__(self, inner):
+        self.field = inner.field
+        self.powers = {"P": {1: inner.num}, "Q": {1: inner.den}}
+
+    def _power(self, base, e):
+        """P^e or Q^e (base "P" or "Q") for e >= 1, from two memoized halves."""
+        memo = self.powers[base]
+        if e not in memo:
+            memo[e] = _times(self._power(base, e // 2), self._power(base, e - e // 2))
+        return memo[e]
 
     def hom(self, f, m):
         """Q^m f(P/Q) for a polynomial f of degree at most m."""
-        P = self.P
-        if P._over_prime_field:
-            qpow = [q.coeffs for q in self.qpow[:m + 1]]
-            return Poly._make(P.field, _hom_eval(f.coeffs, P.coeffs, qpow, P.field.p))
-        acc = Poly.zero(P.field)
-        for i in range(m, -1, -1):
-            acc = acc * P + self.qpow[m - i].scale(f.coeff(i))
-        return acc
+        return self._half(f.coeffs, 0, m + 1)
+
+    def _half(self, c, lo, n):
+        """Q^(n-1) g(P/Q) for g = sum of c[lo + i] t^i over i < n."""
+        part = c[lo:lo + n]
+        if not any(part):
+            return Poly.zero(self.field)
+        if n == 1:
+            return Poly._make(self.field, list(part))
+        h = n // 2
+        return self._times_power(c, lo, h, "Q", n - h) + self._times_power(c, lo + h, n - h, "P", h)
+
+    def _times_power(self, c, lo, n, base, e):
+        """_half(c, lo, n) times base^e, building no power when it is zero."""
+        g = self._half(c, lo, n)
+        return g if g.is_zero else _times(g, self._power(base, e))
+
+
+def _times(a, b):
+    """a * b, as a scale when either is a constant: no product by a constant."""
+    if a.degree > 0 and b.degree > 0:
+        return a * b
+    if a.degree > 0:
+        a, b = b, a
+    if a.coeffs == (1,):  # Q = 1 for a polynomial inner map
+        return b
+    return b.scale(a.coeffs[0]) if a.coeffs else a
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,9 @@ CASES = {
     "classify-t4t3p2": ["classify", "t^4+t^3+2", "--primes", "5..50"],
     "classify-t5t4m1": ["classify", "t^5+t^4-1", "--primes", "5..50"],
     "classify-t6p3t2p1": ["classify", "t^6+3*t^2+1", "--primes", "5..50"],
+    # weight-796/808 forms: the substitution's deepest recursion
+    "classify-lattes-797-809": ["classify", LATTES, "--primes", "797..809"],
+    "classify-cheb3-797-809": ["classify", "t^3-3*t", "--primes", "797..809"],
     "orbifold-t3t1-p5": ["orbifold", "t^3+t+1", "--p", "5"],
     "orbifold-t3t1-p7": ["orbifold", "t^3+t+1", "--p", "7"],
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],

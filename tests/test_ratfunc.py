@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -17,7 +18,7 @@ from flatlab import (
     reduce_mod_p,
 )
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import _Horner, _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
+from flatlab.ratfunc import _Substitution, _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
 
 Q = rationals()
 F5 = field_create(5)
@@ -381,9 +382,9 @@ def test_prime_field_compose_matches_sympy(p):
 
 def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     # one F_p product loop: prime-field Poly products, division and
-    # composition reach exactnum._gf_mul / _gf_divmod / _hom_eval on whole
-    # coefficient lists; over F_{p^k} these only see FFElem's length-k
-    # residue vectors, and over Q they are never called
+    # composition reach exactnum._gf_mul / _gf_divmod on whole coefficient
+    # lists; over F_{p^k} these only see FFElem's length-k residue vectors,
+    # and over Q they are never called
     from flatlab import exactnum, forms, ratfunc
 
     calls = []
@@ -394,7 +395,7 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
             return fn(a, b, *rest)
         return wrapper
 
-    names = ("_gf_mul", "_gf_divmod", "_hom_eval")
+    names = ("_gf_mul", "_gf_divmod")
     for name in names:
         original = getattr(exactnum, name)
         for mod in (exactnum, ratfunc, forms):
@@ -413,8 +414,7 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     sigma = parse_ratfunc("(t^3+2)/(t^2+5)", F97)
     assert longest(lambda: a * b)["_gf_mul"] == 13
     assert longest(lambda: divmod(a, b))["_gf_divmod"] == 13
-    composed = longest(lambda: RatFunc(a, b).compose(sigma))
-    assert composed["_hom_eval"] == 13 and composed["_gf_mul"] >= 13
+    assert longest(lambda: RatFunc(a, b).compose(sigma))["_gf_mul"] >= 13
 
     F25 = field_create(5, 2)
     c = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(12)] + [1])
@@ -427,20 +427,67 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
         assert longest(run) == dict.fromkeys(names, 0)
 
 
-def test_horner_builds_no_powers_of_a_constant_denominator(monkeypatch):
-    # a polynomial inner map has Q = 1: its powers need no products
+def test_substitution_builds_no_powers_of_a_constant_denominator(monkeypatch):
+    # a polynomial inner map has Q = 1: no product has 1 as an operand
     from flatlab import ratfunc
 
     F97 = field_create(97)
-    cube = parse_ratfunc("t^3", F97)
+    rng = random.Random(60)
+    f = Poly(F97, [rng.randrange(1, 97) for _ in range(61)])
+    h = _Substitution(parse_ratfunc("t^3", F97))
     calls = []
     original = ratfunc._gf_mul
-    monkeypatch.setattr(ratfunc, "_gf_mul", lambda *args: calls.append(1) or original(*args))
-    h = _Horner(cube, 60)
-    assert calls == []
-    assert h.qpow == [Poly.one(F97)] * 61
+    monkeypatch.setattr(ratfunc, "_gf_mul", lambda a, b, p: calls.append((a, b)) or original(a, b, p))
+    h.hom(f, 60)
+    assert calls and all((1,) not in (tuple(a), tuple(b)) for a, b in calls)
     inner = parse_ratfunc("t^3/(t^2+5)", F97)
-    assert _Horner(inner, 6).qpow == [inner.den ** i for i in range(7)]
+    h = _Substitution(inner)
+    h.hom(f, 60)
+    assert len(h.powers["Q"]) > 1
+    assert all(q == inner.den ** n for n, q in h.powers["Q"].items())
+
+
+_F25 = field_create(5, 2)
+_INNERS = {"Q = 1": "t^2+2*t+3", "Q = t+4": "(t^2+1)/(t+4)", "Moebius": "(2*t+1)/(t+3)"}
+
+
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+@pytest.mark.parametrize("field", [F5, field_create(97), _F25, Q], ids=str)
+def test_substitution_matches_sum_of_powers(field, inner):
+    # hom(f, m) = sum f_i P^i Q^(m - i) for every m in 0..70, so most m + 1
+    # are not powers of two, with deg f = m, deg f < m, f constant and f = 0
+    rng = random.Random(f"{field}{inner}")
+    sigma = parse_ratfunc(_INNERS[inner], field)
+    P, Qd = sigma.num, sigma.den
+
+    def coeff():
+        if field.p == 0:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return field.elem_from_index(rng.randrange(field.p ** field.k)) if field.k > 1 else rng.randrange(field.p)
+
+    h = _Substitution(sigma)
+    terms = []  # P^i Q^(m - i) for i = 0..m
+    for m in range(71):
+        terms = [t * Qd for t in terms] + [terms[-1] * P if terms else Poly.one(field)]
+        # Q and F_{p^k} run object loops: one f per m there, in turn
+        for deg in {m, m // 2, 0} if P._over_prime_field else {(m, m // 2, 0)[m % 3]}:
+            f = Poly(field, [coeff() for _ in range(deg)] + [coeff() or 1])
+            oracle = sum((terms[i].scale(f.coeff(i)) for i in range(deg + 1)), Poly.zero(field))
+            assert h.hom(f, m) == oracle
+        assert h.hom(Poly.zero(field), m).is_zero
+
+
+def test_substitution_memoizes_logarithmically_many_powers():
+    # a table of m powers of P or Q would fail this bound
+    F97 = field_create(97)
+    rng = random.Random(1023)
+    for m in (1000, 1023):
+        f = Poly(F97, [rng.randrange(1, 97) for _ in range(m + 1)])
+        h = _Substitution(parse_ratfunc("(t^3+2)/(t^2+5)", F97))
+        h.hom(f, m)
+        bound = 2 * math.ceil(math.log2(m + 1)) + 2
+        assert all(1 < len(h.powers[base]) <= bound for base in "PQ")
+
 
 @pytest.mark.parametrize("p", [5, 13, 97])
 def test_prime_field_ops_commute_with_lift(p):
