@@ -140,11 +140,12 @@ def _gf_mul(a, b, p):
     hold that bound never carry into each other.  Short operands, and
     products whose slots would need more than 8 bytes (p above about 2^28
     for operands of a few hundred coefficients), take the schoolbook loop.
+    p = 0 multiplies int lists over Z on that loop, with no reduction.
     """
     if not a or not b:
         return []
     la, lb = len(a), len(b)
-    if la >= _KRONECKER_MIN_LEN or lb >= _KRONECKER_MIN_LEN:
+    if p and (la >= _KRONECKER_MIN_LEN or lb >= _KRONECKER_MIN_LEN):
         size = _slot_bytes(min(la, lb) * (p - 1) ** 2)
         if size in _SLOT_CODES:
             x = _kron_pack(a, size)
@@ -155,7 +156,7 @@ def _gf_mul(a, b, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _gf_trim([c % p for c in out])
+    return _gf_trim([c % p for c in out] if p else out)
 
 
 class _GFMatrix:

@@ -33,6 +33,7 @@ from .exactnum import (
     _gf_divmod,
     _gf_gcd,
     _gf_mul,
+    _gf_trim,
     _power,
     _prime_factors,
     field_create,
@@ -299,10 +300,11 @@ class RatFunc:
         if num.is_zero:
             den = Poly.one(num.field)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            if den.degree > 0:  # a constant den has gcd 1 with num
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
             lc = den.lc()
             if lc != den.field.one:
                 inv = den.field.one / lc
@@ -590,6 +592,7 @@ def format_ratfunc(f: RatFunc, var: str = "t") -> str:
 # ----------------------------------------------------------------------
 
 _VAR_NAMES = ("t", "x")
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
 
 
 def _tokenize(text):
@@ -600,11 +603,14 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
             i = j
         elif ch in _VAR_NAMES:
             tokens.append(("var", ch, i))
@@ -619,10 +625,20 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent to a pair (num, den) of int coefficient lists,
+    constant term first, no trailing zeros.  Literals are unsigned ints, so
+    over F_{p^k} the coefficients lie in the prime subfield, reduced mod p
+    by exactnum's _gf_* layer.  parse canonicalizes once, at the end (von
+    zur Gathen and Gerhard, *Modern Computer Algebra*); an operand whose den
+    is not constant is put in lowest terms first, so that no input grows
+    past its canonical size, as ((t+1)/(t+1))^e or t*(t+1)/(t+1)*... would.
+    """
+
     def __init__(self, text, field):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.p = field.p  # 0 over Q: plain ints
 
     def peek(self):
         return self.tokens[self.pos]
@@ -634,39 +650,65 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def add(self, a, b):
+        if self.p:
+            return _gf_add(a, b, self.p)
+        return _gf_trim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+    def neg(self, a):
+        return [-c % self.p for c in a] if self.p else [-c for c in a]
+
+    def mul(self, a, b):
+        if a == [1] or b == [1]:
+            return b if a == [1] else a
+        return _gf_mul(a, b, self.p)
+
+    def operand(self, num, den):
+        """num/den in lowest terms if den is not constant."""
+        if len(den) < 2:
+            return num, den
+        p = self.p
+        if p:
+            g = _gf_gcd(num, den, p)
+            return _gf_divmod(num, g, p)[0], _gf_divmod(den, g, p)[0]
+        return _primitive_integer_pair(RatFunc(Poly(self.field, num), Poly(self.field, den)))
+
     def parse(self):
-        value = self.expr()
+        num, den = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return value
+        return RatFunc(Poly(self.field, num), Poly(self.field, den))
 
     def expr(self):
-        negate = False
-        if self.peek()[0] == "-":
-            self.take()
-            negate = True
-        value = self.term()
+        negate = self.peek()[0] == "-"
         if negate:
-            value = -value
+            self.take()
+        num, den = self.term()
+        if negate:
+            num = self.neg(num)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            (num, den), (rnum, rden) = self.operand(num, den), self.operand(*self.term())
+            if op == "-":
+                rnum = self.neg(rnum)
+            if den == rden:
+                num = self.add(num, rnum)
+            else:
+                num, den = self.add(self.mul(num, rden), self.mul(rnum, den)), self.mul(den, rden)
+        return num, den
 
     def term(self):
-        value = self.factor()
+        num, den = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero:
+            (num, den), (rnum, rden) = self.operand(num, den), self.operand(*self.factor())
+            if op == "/":
+                if not rnum:
                     raise DivisionByZero(f"zero denominator at position {pos}")
-                value = value / rhs
-        return value
+                rnum, rden = rden, rnum
+            num, den = self.mul(num, rnum), self.mul(den, rden)
+        return num, den
 
     def factor(self):
         value = self.base()
@@ -676,17 +718,17 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an unsigned integer", tok[2])
             self.take()
-            value = value ** tok[1]
+            value = tuple(_power(c, tok[1], [1], self.mul) for c in self.operand(*value))
         return value
 
     def base(self):
         tok = self.peek()
         if tok[0] == "int":
             self.take()
-            return RatFunc.from_const(self.field, tok[1])
+            return _gf_trim([tok[1] % self.p if self.p else tok[1]]), [1]
         if tok[0] == "var":
             self.take()
-            return RatFunc.gen(self.field)
+            return [0, 1], [1]
         if tok[0] == "(":
             self.take()
             value = self.expr()

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import lattes_expr
@@ -211,6 +212,13 @@ def test_classify_parse_error(capsys):
     assert "error" in err
 
 
+def test_classify_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "classify", "t²", "--primes", "5..7")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "error: unexpected character '²' (at position 1)"
+
+
 def test_classify_deeply_nested_is_a_parse_error(capsys):
     expr = "(" * 3000 + "t^2" + ")" * 3000
     code, out, err = run(capsys, "classify", expr, "--primes", "5..7")
@@ -240,6 +248,16 @@ def test_verify_verbose(capsys):
                        "--verbose")
     assert code == 0
     assert out.splitlines() == ["sigma mod 5: t^2", "pullback: (1/t^4) (dt)^4", "invariant"]
+
+
+def test_verify_large_prime_lattes_form(capsys):
+    # the weight-808 form a classify sweep reports at p = 809
+    report = json.loads((Path(__file__).parent / "golden" / "classify-lattes-797-809.json").read_text())
+    (form,) = [entry["forms_found"][0]["f"] for entry in report["primes"] if entry["p"] == 809]
+    code, out, _ = run(capsys, "verify", lattes_expr(), "--p", "809", "--form", form, "--weight", "808",
+                       "--lambda", "1")
+    assert code == 0
+    assert out.strip() == "invariant; claimed lambda = 1: confirmed"
 
 
 def test_verify_neither(capsys):

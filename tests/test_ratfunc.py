@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from flatlab import (
     Poly,
     RatFunc,
     field_create,
+    format_ratfunc,
     parse_ratfunc,
     poly_factor,
     poly_gcd,
@@ -17,6 +20,7 @@ from flatlab import (
     rationals,
     reduce_mod_p,
 )
+import flatlab.ratfunc as ratfunc
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
 from flatlab.ratfunc import _Substitution, _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
 
@@ -66,8 +70,9 @@ def test_parse_nested_parentheses():
 
 
 def test_parse_zero_denominator():
-    with pytest.raises(DivisionByZero):
-        parse_ratfunc("1/(t-t)", Q)
+    for text, field in (("1/(t-t)", Q), ("t/7", F7)):  # 7 is zero in F_7
+        with pytest.raises(DivisionByZero, match="^zero denominator at position 1$"):
+            parse_ratfunc(text, field)
 
 
 def test_parse_rational_literal_and_unary_minus():
@@ -96,6 +101,118 @@ def test_print_parse_fixed_point_mod_p_random():
             continue
         f = RatFunc(num, den)
         assert parse_ratfunc(str(f), F7) == f
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("t²", 1),  # str.isdigit accepts superscripts and other scripts' digits
+    ("٣*t", 0),
+    ("t^٣", 2),
+    ("t + " + "7" * 5000, 4),  # past Python's int-string digit limit
+], ids=["superscript", "arabic-indic", "arabic-indic-exponent", "5000-digit-literal"])
+def test_parse_ascii_digits_only(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_ratfunc(text, Q)
+    assert err.value.pos == pos
+
+
+# The oracle: the same expression evaluated with RatFunc arithmetic, which
+# canonicalizes after every operator.  Trees are ("int", n), ("var",),
+# ("neg", a), (op, a, b) for op in + - * /, and ("^", a, e).
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return ("var",) if rng.random() < 0.5 else ("int", rng.choice([0, 1, 2, 3, 7, 10, 25, 49, 125, 1000]))
+    kind = rng.choice(["neg", "+", "-", "*", "/", "/", "^"])
+    if kind == "neg":
+        return ("neg", _random_tree(rng, depth - 1))
+    if kind == "^":
+        return ("^", _random_tree(rng, depth - 1), rng.randrange(7))
+    return (kind, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _render(tree):
+    """The tree as input text, parenthesized only where the grammar needs it."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "var":
+        return "t"
+    if kind == "neg":
+        return f"(-{_render_at(tree[1], ('+', '-'))})"
+    if kind == "^":
+        return f"{_render_at(tree[1], ('neg', '+', '-', '*', '/', '^'))}^{tree[2]}"
+    tighter = ("+", "-") if kind in "+-" else ("+", "-", "*", "/")
+    return f"{_render_at(tree[1], ('+', '-') if kind in '*/' else ())}{kind}{_render_at(tree[2], tighter)}"
+
+
+def _render_at(tree, wrap):
+    text = _render(tree)
+    return f"({text})" if tree[0] in wrap else text
+
+
+def _evaluate(tree, field):
+    kind = tree[0]
+    if kind == "int":
+        return RatFunc.from_const(field, tree[1])
+    if kind == "var":
+        return RatFunc.gen(field)
+    if kind == "neg":
+        return -_evaluate(tree[1], field)
+    if kind == "^":
+        return _evaluate(tree[1], field) ** tree[2]
+    a, b = _evaluate(tree[1], field), _evaluate(tree[2], field)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    return a * b if kind == "*" else a / b
+
+
+@pytest.mark.parametrize("field", [Q, F7, field_create(5, 2)], ids=str)
+def test_parse_matches_ratfunc_oracle(field):
+    rng = random.Random(f"parse-{field}")
+    checked = 0
+    while checked < 200:
+        tree = _random_tree(rng, 4)
+        text = _render(tree)
+        try:
+            want = _evaluate(tree, field)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                parse_ratfunc(text, field)
+            continue
+        assert parse_ratfunc(text, field) == want, text
+        checked += 1
+
+
+def test_parse_edge_cases():
+    assert parse_ratfunc("(t-t)^0", Q) == RatFunc.from_const(Q, 1)
+    assert parse_ratfunc("((t^2-1)/(t+1))^3", Q) == parse_ratfunc("(t-1)^3", Q)
+    # the base is cancelled before powering; uncancelled, this never finishes
+    for field in (Q, F7):
+        assert parse_ratfunc("((t+1)/(t+1))^1000000", field) == RatFunc.from_const(field, 1)
+
+
+def test_parse_canonicalizes_once(monkeypatch):
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    # the benchmark's seed-1 conjugate of t^6 + 3*t^2 + 1
+    parse_ratfunc("-t^6 + 12*t^5 - 60*t^4 + 160*t^3 - 243*t^2 + 204*t - 75", Q)
+    assert len(calls) == 0
+    parse_ratfunc("(t^3 - 4*t^2 + 4*t + 4)/(t^2 - 4*t + 5)", Q)
+    assert len(calls) == 1
+    num = Poly(Q, (1, 2, 3))
+    f = RatFunc(num, Poly.constant(Q, 3))
+    assert len(calls) == 1  # a constant denominator takes no gcd
+    assert f.den == Poly.one(Q) and f.num == num.scale(Fraction(1, 3))
+
+
+def test_parse_large_prime_form_round_trip():
+    # the weight-808 Lattes form at p = 809, 1/f of degree 1212
+    report = json.loads((Path(__file__).parent / "golden" / "classify-lattes-797-809.json").read_text())
+    (form,) = [entry["forms_found"][0]["f"] for entry in report["primes"] if entry["p"] == 809]
+    assert format_ratfunc(parse_ratfunc(form, field_create(809))) == form
 
 
 # ---------------------------------------------------------------- canonical form
