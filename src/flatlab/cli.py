@@ -3,7 +3,8 @@
 Subcommands: classify (sweep primes, assemble per-prime orbifold and
 invariant-form evidence, emit a verdict), verify (check one form against
 one map at one prime), construct (build a flat family member with its
-certificate), orbifold (single-prime orbifold report).
+certificate), orbifold (single-prime orbifold report, each postcritical
+Frobenius class named by its minimal polynomial over F_p).
 
 Exit codes: 0 flat-candidate, 1 not-flat, 2 inconclusive, 3 usage/parse
 error.  Reports are deterministic; timings are opt-in because they would
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BadPrime, DegreeTooSmall, FlatlabError, IrrationalCriticalPoints, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
-from .ratfunc import RatFunc, format_ratfunc, parse_ratfunc, reduce_mod_p
+from .ratfunc import Poly, RatFunc, format_poly, format_ratfunc, parse_ratfunc, reduce_mod_p
 from .dynamics import postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
@@ -312,26 +313,22 @@ def _cert_json(cert, var, p):
 def cmd_orbifold(args):
     sigma = parse_ratfunc(args.expr, rationals())
     sig_p = reduce_mod_p(sigma, args.p)
-    graph = postcritical_graph(sig_p)
-    data = orbifold_data(graph)
-    field = graph.field
+    data = orbifold_data(postcritical_graph(sig_p))
     out = {
         "input": args.expr,
         "p": args.p,
-        "splitting_field": repr(field),
-        "postcritical": [{"point": str(pt), "mu": _mu_json(m)} for pt, m in data.points()],
+        "postcritical": [
+            {"class": "inf" if h is None else format_poly(Poly(sig_p.field, h)), "points": n, "mu": _mu_json(m)}
+            for h, n, m in data.classes()
+        ],
         **_orbifold_json(data),
     }
-    if field.k > 1:
-        out["field_modulus"] = list(field.modulus)
     if args.json:
         print(json.dumps(out, indent=2))
     else:
-        print(f"map: {out['input']}  p={args.p}  splitting field: {out['splitting_field']}")
-        if "field_modulus" in out:
-            print(f"modulus (coefficients, constant first): {out['field_modulus']}")
+        print(f"map: {out['input']}  p={args.p}")
         for item in out["postcritical"]:
-            print(f"  mu({item['point']}) = {item['mu']}")
+            print(f"  mu({item['class']}) = {item['mu']}   points: {item['points']}")
         sig = "(" + ",".join(str(s) for s in out["signature"]) + ")"
         print(f"chi = {out['chi']}   signature {sig}   parabolic: {out['parabolic']}")
     return 0

@@ -13,8 +13,9 @@ For the same reason the Frobenius x -> x^p commutes with the map: it maps
 orbits to orbits and keeps every ramification index, so mu is constant on
 a Frobenius class.  The orbit graph therefore holds one vertex per class,
 its point_key-least point packed into one int, and the walk evaluates the
-map on residue lists; a point is decoded only where it is printed or its
-minimal polynomial is needed.
+map on residue lists.  Only this module decodes a vertex into points:
+everywhere else a class is named by its minimal polynomial over F_p
+(class_min_poly), which does not depend on how F_{p^k} is modelled.
 
 Every ramification index in the pipeline is read off the Wronskian by one
 rule, _critical_data: e(A) = 1 + ord_A(W) at a finite point and
@@ -284,12 +285,16 @@ def frobenius_class(field, v):
     return sorted(out, key=point_key)
 
 
-def _class_min_poly(field, v):
-    """The minimal polynomial over F_p of the finite Frobenius class of
-    vertex v, as an int tuple, constant first, monic: the product of x - c
-    over the points c of the class."""
+def class_min_poly(field, v):
+    """The name of vertex v's Frobenius class over F_p: its minimal
+    polynomial as an int tuple, constant first, monic (the product of x - c
+    over the points c of the class), or None at infinity.  It does not
+    depend on the modulus of F_{p^k}."""
+    points = frobenius_class(field, v)
+    if points[0].is_infinity:
+        return None
     h = Poly.one(field)
-    for pt in frobenius_class(field, v):
+    for pt in points:
         h = h * Poly(field, (-pt.value, 1))
     coeffs = [h.coeff(i).coeffs for i in range(h.degree + 1)]
     if any(any(c[1:]) for c in coeffs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import mat_kernel
-from .dynamics import P1Point, _class_min_poly, postcritical_graph
+from .dynamics import P1Point, postcritical_graph
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _Substitution, _poly_pth_root, root_multiplicity
 
@@ -185,18 +185,6 @@ def _pole_cap(mu, weight):
     return weight if mu == MU_INFINITY else weight - -(-weight // mu)
 
 
-def _pole_orbits(orbifold):
-    """The finite postcritical Frobenius classes as [(minimal polynomial over
-    F_p as int tuple, mu)], sorted by polynomial."""
-    orbits = []
-    for v in orbifold.postcritical:
-        pt = orbifold.point(v)
-        if not pt.is_infinity:
-            orbits.append((_class_min_poly(orbifold.field, v), orbifold.mu[v]))
-    orbits.sort(key=lambda item: (len(item[0]), item[0]))
-    return orbits
-
-
 def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     """Invariant forms of the given positive weight: [] or one form.
 
@@ -250,8 +238,9 @@ def invariant_search(sigma: RatFunc, weight: int, orbifold=None):
     if weight % nu:
         return []
     h_nu = Poly.one(field)
-    for minpoly, mu in _pole_orbits(orbifold):
-        h_nu = h_nu * Poly(field, minpoly) ** _pole_cap(mu, nu)
+    for minpoly, _, mu in orbifold.classes():
+        if minpoly is not None:
+            h_nu = h_nu * Poly(field, minpoly) ** _pole_cap(mu, nu)
     lam = invariance_check(sigma, _inverse_form(h_nu, nu)).lam
     if lam is None or lam ** (weight // nu) != field.one:
         return []

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadWeight, FieldMismatch, WeightDivisibleByP
-from .dynamics import OrbitGraph, frobenius_class, point_key, vertex_point
+from .dynamics import OrbitGraph, class_min_poly
 from .ratfunc import poly_factor
 
 MU_INFINITY = math.inf
@@ -129,14 +129,12 @@ class OrbifoldData:
     def size(self, v) -> int:
         return self.sizes.get(v, self.field.k)
 
-    def point(self, v):
-        return vertex_point(self.field, v)
-
-    def points(self):
-        """[(P1Point, mu)] over every postcritical point, sorted by point."""
-        out = [(pt, self.mu[v]) for v in self.postcritical for pt in frobenius_class(self.field, v)]
-        out.sort(key=lambda item: point_key(item[0]))
-        return out
+    def classes(self):
+        """[(minimal polynomial over F_p as an int tuple, constant first, or
+        None at infinity; class size; mu)] over the postcritical classes:
+        finite classes by (degree, coefficients), infinity last."""
+        rows = [(class_min_poly(self.field, v), self.size(v), self.mu[v]) for v in self.postcritical]
+        return sorted(rows, key=lambda row: (row[0] is None, len(row[0] or ()), row[0] or ()))
 
 
 def _mu_counts(mu_map: dict, size) -> dict:

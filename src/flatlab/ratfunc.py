@@ -718,6 +718,8 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an unsigned integer", tok[2])
             self.take()
+            if value == ([0, 1], [1]):  # a power of the variable is a shift
+                return [0] * tok[1] + [1], [1]
             value = tuple(_power(c, tok[1], [1], self.mul) for c in self.operand(*value))
         return value
 

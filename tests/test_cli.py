@@ -328,22 +328,26 @@ def test_orbifold_report(capsys):
     doc = json.loads(out)
     assert doc["chi"] == "0"
     assert doc["signature"] == [2, 2, "inf"]
-    assert {item["point"]: item["mu"] for item in doc["postcritical"]} == \
-        {"2": 2, "5": 2, "inf": "inf"}
+    assert doc["postcritical"] == [{"class": "t + 2", "points": 1, "mu": 2},
+                                   {"class": "t + 5", "points": 1, "mu": 2},
+                                   {"class": "inf", "points": 1, "mu": "inf"}]
 
 
 def test_orbifold_extension_field(capsys):
     code, out, _ = run(capsys, "orbifold", "t^3+t+1", "--p", "5", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["splitting_field"] == "F(5^2)"
-    assert "field_modulus" in doc
+    # the critical points lie in F(5^2); two postcritical classes have two
+    # points each, named by their minimal polynomials over F_5
+    assert [(item["class"], item["points"]) for item in doc["postcritical"]] == [
+        ("t + 2", 1), ("t + 4", 1), ("t^2 + t + 2", 2), ("t^2 + 3*t + 3", 2), ("inf", 1)]
+    assert "splitting_field" not in doc and "field_modulus" not in doc
     code, out, _ = run(capsys, "orbifold", "t^3+t+1", "--p", "5")
     lines = out.splitlines()
     assert code == 0
-    assert lines[0] == "map: t^3+t+1  p=5  splitting field: F(5^2)"
-    assert lines[1] == f"modulus (coefficients, constant first): {doc['field_modulus']}"
-    assert lines[2:-1] == [f"  mu({item['point']}) = {item['mu']}" for item in doc["postcritical"]]
+    assert lines[0] == "map: t^3+t+1  p=5"
+    assert lines[1:-1] == [f"  mu({item['class']}) = {item['mu']}   points: {item['points']}"
+                           for item in doc["postcritical"]]
     assert lines[-1] == "chi = -2   signature (2,2,2,2,2,2,inf)   parabolic: False"
 
 

@@ -22,6 +22,7 @@ from flatlab import (
     p1_eval,
     parse_ratfunc,
     orbifold_data,
+    parabolic_signature,
     poly_factor,
     poly_roots,
     postcritical_graph,
@@ -31,10 +32,10 @@ from flatlab import (
     weight_reduce,
 )
 from flatlab import atlas, dynamics, exactnum, forms, orbifold, ratfunc
-from flatlab.dynamics import vertex_key
 from flatlab.errors import BadPrime, BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from flatlab.exactnum import _gf_mul
-from flatlab.forms import InvarianceResult, _pole_cap, _pole_orbits, _solve
+from flatlab.forms import InvarianceResult, _pole_cap, _solve
+from flatlab.orbifold import PARABOLIC_SIGNATURES
 
 Q = rationals()
 F5 = field_create(5)
@@ -377,6 +378,29 @@ def test_search_extension_postcritical_points():
     assert out[0].func == expected
 
 
+# Milnor's Lattes maps for the signatures (2,4,4), (2,3,6) and (3,3,3):
+# (map, signature, weight-nu form 1/h (dt)^nu, nu, multiplier lambda over Q)
+RIGID_LATTES = [
+    ("(t-1)^4/(16*t*(t+1)^2)", (2, 4, 4), "1/(t^3*(t+1)^2)", 4, 16),
+    ("-(t+1)^2/(4*t)", (2, 4, 4), "1/(t^3*(t+1)^2)", 4, -4),
+    ("t*(t-8)^3/(64*(t+1)^3)", (2, 3, 6), "1/(t^4*(t+1)^3)", 6, 64),
+    ("-(t+4)^3/(27*t^2)", (2, 3, 6), "1/(t^4*(t+1)^3)", 6, -27),
+    ("(t^4+18*t^2-27)/(8*t^3)", (3, 3, 3), "1/(t^2-1)^2", 3, 8),
+]
+
+
+@pytest.mark.parametrize("p", [13, 37])
+@pytest.mark.parametrize("expr,signature,form_expr,nu,lam", RIGID_LATTES)
+def test_rigid_lattes_map_has_its_signature_and_multiplier(expr, signature, form_expr, nu, lam, p):
+    sigma = reduce_mod_p(parse_ratfunc(expr, Q), p)
+    data = orbifold_data(postcritical_graph(sigma))
+    res = parabolic_signature(data)
+    assert data.chi == 0
+    assert res.signature == signature
+    assert PARABOLIC_SIGNATURES[signature] == "lattes-like"
+    assert invariance_check(sigma, form(form_expr, nu, sigma.field)).lam == sigma.field.elem(lam)
+
+
 ORACLE_MAPS = ("t^2", "t^3", "1/t^2", "t^2-2", "-(t^2-2)", "t^3-3*t", "(t^2+1)/t", "t^2-1", "t^3+t+1")
 ORACLE_CURVES = ((1, 0), (0, 1), (-1, 1))  # Lattes m = 2 on y^2 = x^3 + a x + b
 
@@ -385,8 +409,8 @@ def _uniform_search(sigma, weight, data):
     """The search with every pole capped at the weight and deg g = deg h."""
     p = sigma.field.p
     h = [1]
-    for minpoly, _ in _pole_orbits(data):
-        for _ in range(weight):
+    for minpoly, _, _ in data.classes():
+        for _ in range(weight if minpoly else 0):  # no pole factor at infinity
             h = _gf_mul(h, list(minpoly), p)
     return _solve(sigma, weight, h, len(h) - 1)
 
@@ -423,10 +447,14 @@ def _orbifold_caps_search(sigma, weight, data):
     degree <= deg h - 2 weight + cap(inf) over h = prod minpoly^cap."""
     p = sigma.field.p
     h = [1]
-    for minpoly, mu in _pole_orbits(data):
+    mu_inf = 1
+    for minpoly, _, mu in data.classes():
+        if minpoly is None:
+            mu_inf = mu
+            continue
         for _ in range(_pole_cap(mu, weight)):
             h = _gf_mul(h, list(minpoly), p)
-    cap_inf = _pole_cap(data.mu.get(vertex_key(data.field, INFINITY), 1), weight)
+    cap_inf = _pole_cap(mu_inf, weight)
     deg_g = len(h) - 1 - 2 * weight + cap_inf
     return _solve(sigma, weight, h, deg_g) if deg_g >= 0 else []
 

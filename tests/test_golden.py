@@ -4,11 +4,14 @@ The fixtures under tests/golden/ were captured from `flatlab ... --json`;
 regenerate one only when a change means to alter the report, and say why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from flatlab import Poly, orbifold_data, parse_ratfunc, postcritical_graph, rationals, reduce_mod_p
 from flatlab.cli import main
+from flatlab.dynamics import frobenius_class
 
 GOLDEN = Path(__file__).parent / "golden"
 LATTES = "(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)"
@@ -53,6 +56,14 @@ CASES = {
     "orbifold-t2p1-over-t-p11": ["orbifold", "(t^2+1)/t", "--p", "11"],
     "orbifold-lattes-p13": ["orbifold", LATTES, "--p", "13"],
     "orbifold-t4t1-over-t2p3-p11": ["orbifold", "(t^4+t+1)/(t^2+3)", "--p", "11"],
+    # the (2,4,4), (2,3,6) and (3,3,3) Lattes maps of degree 4, 3 and 4; the
+    # space keeps argparse from reading the leading "-" as an option
+    "orbifold-lattes-244-d4-p13": ["orbifold", "(t-1)^4/(16*t*(t+1)^2)", "--p", "13"],
+    "orbifold-lattes-236-d3-p13": ["orbifold", "-(t+4)^3 / (27*t^2)", "--p", "13"],
+    "orbifold-lattes-333-d4-p13": ["orbifold", "(t^4+18*t^2-27)/(8*t^3)", "--p", "13"],
+    "classify-lattes-244-d4-5-50": ["classify", "(t-1)^4/(16*t*(t+1)^2)", "--primes", "5..50"],
+    "classify-lattes-236-d3-5-50": ["classify", "-(t+4)^3 / (27*t^2)", "--primes", "5..50"],
+    "classify-lattes-333-d4-5-50": ["classify", "(t^4+18*t^2-27)/(8*t^3)", "--primes", "5..50"],
     "construct-lattes-1-0-2": ["construct", "lattes", "1", "0", "2"],
     "construct-lattes-m1-1-2": ["construct", "lattes", "-1", "1", "2"],
     "construct-lattes-2-3-3-p101": ["construct", "lattes", "2", "3", "3", "--p", "101"],
@@ -70,3 +81,42 @@ CASES = {
 def test_golden_report(name, capsys):
     main(CASES[name] + ["--json"])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(f"{name}.json" for name in CASES)
+
+
+# The postcritical listings of the orbifold goldens as recorded when the
+# report printed every point, in the basis g of the F_{p^k} modulus, sorted
+# by point: {golden name: [[point, mu], ...]}.
+POINT_LISTINGS = json.loads((Path(__file__).parent / "orbifold_points.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(POINT_LISTINGS))
+def test_orbifold_classes_name_the_recorded_points(name):
+    # each row names one Frobenius class: the row's polynomial is the product
+    # of t - c over the class's points, rebuilt with frobenius_class; those
+    # points carry the row's mu in the recorded listing, and together the
+    # rows cover that listing exactly
+    _, expr, _, p = CASES[name]
+    data = orbifold_data(postcritical_graph(reduce_mod_p(parse_ratfunc(expr, rationals()), int(p))))
+    ext = data.field
+    by_poly = {}
+    for v in data.postcritical:
+        points = frobenius_class(ext, v)
+        h = None
+        if not points[0].is_infinity:
+            h = Poly.one(ext)
+            for pt in points:
+                h = h * Poly(ext, (-pt.value, 1))
+        by_poly[h] = [str(pt) for pt in points]
+    recorded = dict(POINT_LISTINGS[name])
+    covered = []
+    for row in json.loads((GOLDEN / f"{name}.json").read_text())["postcritical"]:
+        points = by_poly.pop(None if row["class"] == "inf" else parse_ratfunc(row["class"], ext).num)
+        assert row["points"] == len(points)
+        assert [recorded[pt] for pt in points] == [row["mu"]] * len(points)
+        covered += points
+    assert not by_poly
+    assert sorted(covered) == sorted(recorded)

@@ -1,9 +1,12 @@
 """Every name a flatlab module binds with ``from ... import`` is used there,
-and every module-level private function or class is referenced somewhere.
+every module-level private function or class is referenced somewhere, and
+no module but ``dynamics`` turns an orbit-graph vertex into points.
 
 A deletion that leaves an import or a helper behind fails here.  The
 package's ``__init__.py`` re-exports names without using them, so its
-imports are not checked.
+imports are not checked for use.  Elsewhere a Frobenius class is named by
+its minimal polynomial (``dynamics.class_min_poly``), so no report depends
+on the modulus of F_{p^k}.
 """
 
 import ast
@@ -88,3 +91,37 @@ def test_checker_flags_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     package = {p.name: p.read_text() for p in PACKAGE}
     assert orphaned_private_defs(package, [p.read_text() for p in TESTS]) == []
+
+
+VERTEX_DECODERS = {"vertex_key", "vertex_point", "frobenius_class", "point_key"}
+
+
+def vertex_decoder_uses(source):
+    """(line, name) for each vertex decoder that source imports by name or
+    reads as a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, alias.name) for alias in node.names if alias.name in VERTEX_DECODERS]
+        elif isinstance(node, ast.Attribute) and node.attr in VERTEX_DECODERS:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_checker_flags_a_vertex_decoder():
+    src = textwrap.dedent("""\
+        from .dynamics import P1Point, point_key
+        from . import dynamics
+        from .dynamics import (
+            class_min_poly,
+            frobenius_class,
+        )
+        dynamics.vertex_point(field, v)
+        graph.point(v)
+        """)
+    assert vertex_decoder_uses(src) == [(1, "point_key"), (3, "frobenius_class"), (7, "vertex_point")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "dynamics.py"], ids=lambda p: p.name)
+def test_only_dynamics_decodes_vertices(path):
+    assert vertex_decoder_uses(path.read_text()) == []

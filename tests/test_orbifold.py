@@ -23,6 +23,7 @@ from flatlab import (
     parse_ratfunc,
     postcritical_graph,
 )
+from flatlab.dynamics import frobenius_class, point_key
 from flatlab.orbifold import MU_INFINITY, euler_char
 from flatlab.errors import WeightDivisibleByP
 
@@ -71,6 +72,8 @@ ORACLE_CASES = [
     ("t^2-2", 7), ("t^2-2", 11), ("t^2+1", 5), ("t^2+1", 7), ("t^2+1", 11),
     ("t^2+t", 5), ("t^2+t", 7), ("(t^2+1)/t", 5), ("(t^2+1)/t", 7),
     ("t^3-3*t", 7), ("t^3-3*t", 11), ("t^3+t+1", 5), ("t^3+t+1", 7),
+    # Lattes maps with signatures (2,4,4), (2,3,6) and (3,3,3)
+    ("-(t+1)^2/(4*t)", 13), ("-(t+4)^3/(27*t^2)", 13), ("(t^4+18*t^2-27)/(8*t^3)", 13),
 ]
 
 
@@ -87,6 +90,7 @@ def test_mu_matches_bruteforce_oracle(expr, p):
 QUOTIENT_CASES = [
     ("(t^4+t+1)/(t^2+3)", 11), ("(t^4+t+1)/(t^2+3)", 17), ("t^6+t^5+2*t+3", 7),
     ("t^3+t+1", 5), ("t^3+t+1", 7), (lattes_expr(), 13),
+    ("(t-1)^4/(16*t*(t+1)^2)", 13),  # (2,4,4), critical points in F(13^2)
 ]
 
 
@@ -98,7 +102,8 @@ def test_quotient_graph_matches_pointwise_walk(expr, p):
     post, chi, signature = pointwise_orbifold(sigma)
     g = postcritical_graph(sigma)
     data = orbifold_data(g)
-    assert data.points() == post
+    points = [(pt, data.mu[v]) for v in data.postcritical for pt in frobenius_class(data.field, v)]
+    assert sorted(points, key=lambda item: point_key(item[0])) == post
     assert data.chi == chi
     assert parabolic_signature(data).signature == signature
     assert sum(data.size(v) for v in data.postcritical) == len(post)

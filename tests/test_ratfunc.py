@@ -208,6 +208,17 @@ def test_parse_canonicalizes_once(monkeypatch):
     assert f.den == Poly.one(Q) and f.num == num.scale(Fraction(1, 3))
 
 
+def test_parse_power_of_the_variable_is_a_shift(monkeypatch):
+    F809 = field_create(809)
+    expected = RatFunc(Poly.gen(F809) ** 1000)
+    calls = []
+    mul = ratfunc._gf_mul
+    monkeypatch.setattr(ratfunc, "_gf_mul", lambda a, b, p: calls.append(1) or mul(a, b, p))
+    assert parse_ratfunc("t^1000", F809) == expected
+    assert parse_ratfunc("(x)^0", F809) == RatFunc.from_const(F809, 1)
+    assert calls == []
+
+
 def test_parse_large_prime_form_round_trip():
     # the weight-808 Lattes form at p = 809, 1/f of degree 1212
     report = json.loads((Path(__file__).parent / "golden" / "classify-lattes-797-809.json").read_text())
