@@ -15,7 +15,9 @@ a Frobenius class.  The orbit graph therefore holds one vertex per class,
 its point_key-least point packed into one int, and the walk evaluates the
 map on residue lists.  Only this module decodes a vertex into points:
 everywhere else a class is named by its minimal polynomial over F_p
-(class_min_poly), which does not depend on how F_{p^k} is modelled.
+(class_min_poly), which does not depend on how F_{p^k} is modelled.  That
+name is one kernel over F_p, the first linear relation among the powers
+of the vertex's point, so it lies over F_p by construction.
 
 Every ramification index in the pipeline is read off the Wronskian by one
 rule, _critical_data: e(A) = 1 + ord_A(W) at a finite point and
@@ -48,6 +50,7 @@ from .exactnum import (
     _slot_bytes,
     _to_digits,
     field_create,
+    mat_kernel,
 )
 from .ratfunc import (Poly, RatFunc, _edf, _primitive_integer_pair, poly_factor, poly_roots,
                       rational_roots, root_multiplicity)
@@ -272,34 +275,19 @@ def vertex_point(field, v) -> P1Point:
     return P1Point(FFElem(field, tuple(_to_digits(v, field.p, field.k))))
 
 
-def frobenius_class(field, v):
-    """The points of the Frobenius class of vertex v, sorted by point_key."""
-    pt = vertex_point(field, v)
-    if pt.is_infinity or field.k == 1:
-        return [pt]
-    out = [pt]
-    nxt = pt.value ** field.p
-    while nxt != pt.value:
-        out.append(P1Point(nxt))
-        nxt = nxt ** field.p
-    return sorted(out, key=point_key)
-
-
 def class_min_poly(field, v):
-    """The name of vertex v's Frobenius class over F_p: its minimal
-    polynomial as an int tuple, constant first, monic (the product of x - c
-    over the points c of the class), or None at infinity.  It does not
-    depend on the modulus of F_{p^k}."""
-    points = frobenius_class(field, v)
-    if points[0].is_infinity:
+    """The name of vertex v's Frobenius class over F_p: the minimal
+    polynomial of its point a as an int tuple, constant first, monic, or
+    None at infinity.  Its coefficients are the first F_p-linear relation
+    among 1, a, ..., a^k: mat_kernel's first basis vector belongs to the
+    first free column, the degree of a.  It does not depend on the modulus
+    of F_{p^k}."""
+    if v == field.order:
         return None
-    h = Poly.one(field)
-    for pt in points:
-        h = h * Poly(field, (-pt.value, 1))
-    coeffs = [h.coeff(i).coeffs for i in range(h.degree + 1)]
-    if any(any(c[1:]) for c in coeffs):
-        raise RuntimeError("minimal polynomial not over F_p")  # internal guard
-    return tuple(c[0] for c in coeffs)
+    p, k = field.p, field.k
+    modulus = list(field.modulus) if k > 1 else [0, 1]
+    relation = mat_kernel(_power_columns(_to_digits(v, p, k), k + 1, modulus, p), field_create(p))[0]
+    return tuple(_gf_trim([c.coeffs[0] for c in relation]))
 
 
 class _ResidueWalk:

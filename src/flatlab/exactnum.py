@@ -562,6 +562,12 @@ def mat_kernel(rows, field):
     may be field elements, plain ints or Fractions; every entry is coerced
     into field, and one elimination serves Q and every F_q.  Raises
     FieldMismatch on ragged, foreign-field or bad-typed input.
+
+    The basis holds one vector per free column, in column order.  The
+    vector of free column f is 1 at f, 0 at every other free column and
+    past f (a pivot row is zero left of its pivot), so the first vector is
+    the first linear relation among the columns, with last coefficient 1;
+    dynamics.class_min_poly reads a minimal polynomial off it.
     """
     m = [[_as_elem(e, field) for e in r] for r in rows]
     if not m:

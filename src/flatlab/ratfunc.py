@@ -624,6 +624,11 @@ def _tokenize(text):
     return tokens
 
 
+# A numerator or denominator the parser builds has degree at most this; the
+# weight-(p - 1) form a sweep prints has degree at most 2 (p - 1).
+MAX_PARSE_DEGREE = 100_000
+
+
 class _Parser:
     """Recursive descent to a pair (num, den) of int coefficient lists,
     constant term first, no trailing zeros.  Literals are unsigned ints, so
@@ -632,6 +637,8 @@ class _Parser:
     zur Gathen and Gerhard, *Modern Computer Algebra*); an operand whose den
     is not constant is put in lowest terms first, so that no input grows
     past its canonical size, as ((t+1)/(t+1))^e or t*(t+1)/(t+1)*... would.
+    A shift or a product past MAX_PARSE_DEGREE is a ParseError, raised
+    before its list is built.
     """
 
     def __init__(self, text, field):
@@ -658,9 +665,10 @@ class _Parser:
     def neg(self, a):
         return [-c % self.p for c in a] if self.p else [-c for c in a]
 
-    def mul(self, a, b):
+    def mul(self, a, b, pos):
         if a == [1] or b == [1]:
             return b if a == [1] else a
+        _check_degree(len(a) + len(b) - 2, pos)
         return _gf_mul(a, b, self.p)
 
     def operand(self, num, den):
@@ -688,14 +696,14 @@ class _Parser:
         if negate:
             num = self.neg(num)
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             (num, den), (rnum, rden) = self.operand(num, den), self.operand(*self.term())
             if op == "-":
                 rnum = self.neg(rnum)
             if den == rden:
                 num = self.add(num, rnum)
             else:
-                num, den = self.add(self.mul(num, rden), self.mul(rnum, den)), self.mul(den, rden)
+                num, den = self.add(self.mul(num, rden, pos), self.mul(rnum, den, pos)), self.mul(den, rden, pos)
         return num, den
 
     def term(self):
@@ -707,7 +715,7 @@ class _Parser:
                 if not rnum:
                     raise DivisionByZero(f"zero denominator at position {pos}")
                 rnum, rden = rden, rnum
-            num, den = self.mul(num, rnum), self.mul(den, rden)
+            num, den = self.mul(num, rnum, pos), self.mul(den, rden, pos)
         return num, den
 
     def factor(self):
@@ -718,9 +726,11 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an unsigned integer", tok[2])
             self.take()
+            e, pos = tok[1], tok[2]
             if value == ([0, 1], [1]):  # a power of the variable is a shift
-                return [0] * tok[1] + [1], [1]
-            value = tuple(_power(c, tok[1], [1], self.mul) for c in self.operand(*value))
+                _check_degree(e, pos)
+                return [0] * e + [1], [1]
+            value = tuple(_power(c, e, [1], lambda a, b: self.mul(a, b, pos)) for c in self.operand(*value))
         return value
 
     def base(self):
@@ -739,11 +749,17 @@ class _Parser:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
 
 
+def _check_degree(degree, pos):
+    if degree > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {degree} is past the parser's bound of {MAX_PARSE_DEGREE}", pos)
+
+
 def parse_ratfunc(text: str, field: Field) -> RatFunc:
     """Parse an expression string into a canonical RatFunc over field.
 
     Raises ParseError (with position) on malformed or too deeply nested
-    input, and DivisionByZero if the denominator is the zero polynomial.
+    input or on a degree past MAX_PARSE_DEGREE, and DivisionByZero if the
+    denominator is the zero polynomial.
     """
     parser = _Parser(text, field)
     try:

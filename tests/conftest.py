@@ -1,7 +1,7 @@
 """Shared test oracles: brute-force mu via preimage chains, the per-point
-orbit walk, preimage enumeration in a splitting field, and a plain affine
-group law for elliptic curves.  These stay independent of the code paths
-they check."""
+orbit walk, the Frobenius class of a vertex, preimage enumeration in a
+splitting field, and a plain affine group law for elliptic curves.  These
+stay independent of the code paths they check."""
 
 import math
 from fractions import Fraction
@@ -22,7 +22,7 @@ from flatlab import (
     ram_index,
     rationals,
 )
-from flatlab.dynamics import frobenius_class, point_key
+from flatlab.dynamics import point_key, vertex_point
 from flatlab.orbifold import MU_INFINITY
 
 FLAT_BATTERY = ["t^2", "t^3", "1/t^2", "t^2-2", "t^3-3*t"]
@@ -72,6 +72,22 @@ def mu_oracle(graph, max_m=12, cap=2 ** 32, stable_window=None):
         else:
             out[A] = upto_last
     return out
+
+
+def frobenius_class(field, v):
+    """The points of the Frobenius class of orbit-graph vertex v, sorted by
+    point_key: its point and the powers x -> x^p of it until they come
+    back, by FFElem arithmetic.  The oracle that class names are checked
+    against."""
+    pt = vertex_point(field, v)
+    if pt.is_infinity or field.k == 1:
+        return [pt]
+    out = [pt]
+    nxt = pt.value ** field.p
+    while nxt != pt.value:
+        out.append(P1Point(nxt))
+        nxt = nxt ** field.p
+    return sorted(out, key=point_key)
 
 
 def assert_mu_matches(graph, mu, oracle, label=""):

@@ -227,6 +227,16 @@ def test_classify_deeply_nested_is_a_parse_error(capsys):
     assert err.startswith("error: expression nested too deeply")
 
 
+@pytest.mark.parametrize("exponent", ["9999999999", "99999999999999999999"])
+def test_classify_huge_exponent_is_a_parse_error(capsys, exponent):
+    # the shift list t^e would be a MemoryError or an OverflowError, and
+    # exit 1 would read as not-flat
+    code, out, err = run(capsys, "classify", f"t^{exponent}", "--primes", "5..7")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: degree {exponent} is past the parser's bound of 100000 (at position 2)"
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_invariant(capsys):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import lattes_expr, postcritical_points, preimages, random_separable_map
+from conftest import frobenius_class, lattes_expr, postcritical_points, preimages, random_separable_map
 
 from flatlab import (
     INFINITY,
+    FFElem,
     P1Point,
     Poly,
     critical_locus,
     field_create,
+    orbifold_data,
     p1_eval,
     parse_ratfunc,
     poly_factor,
@@ -18,7 +20,7 @@ from flatlab import (
     ram_index,
     rationals,
 )
-from flatlab.dynamics import _ResidueWalk, class_min_poly, frobenius_class, point_key, vertex_key, vertex_point
+from flatlab.dynamics import _ResidueWalk, class_min_poly, point_key, vertex_key, vertex_point
 from flatlab.errors import BadCharacteristic, Inseparable, IrrationalCriticalPoints, OrbitBoundExceeded
 
 F5 = field_create(5)
@@ -258,13 +260,17 @@ def test_vertex_key_codec_round_trips_in_point_key_order(p, k):
 
 
 def test_class_min_poly_is_the_irreducible_of_the_class():
-    # checked against poly_is_irreducible, evaluation at every conjugate,
-    # and, at a critical class, the factor of the Wronskian vanishing there;
-    # infinity has no minimal polynomial
+    # checked against the product of x - c over the conftest Frobenius class,
+    # poly_is_irreducible, evaluation at every conjugate, and, at a critical
+    # class, the factor of the Wronskian vanishing there; infinity has no
+    # minimal polynomial.  The cases cover k = 1, infinity, and classes
+    # smaller than k (the F_11 points of the F(11^5) graph)
     rng = random.Random(10)
     maps = [parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11))]  # classes in F(11^5)
+    maps.append(parse_ratfunc("t^2-2", F7))  # every class a point of F_7
     for p in (5, 7, 11, 13):
         maps += [random_separable_map(rng, field_create(p), 4) for _ in range(3)]
+    seen = set()
     for sigma in maps:
         Fp = sigma.field
         if sigma.degree < 2 or Fp.p <= sigma.degree:
@@ -275,17 +281,53 @@ def test_class_min_poly_is_the_irreducible_of_the_class():
         ext = g.field
         for v in g.vertices:
             minpoly = class_min_poly(ext, v)
-            if g.point(v).is_infinity:
+            points = frobenius_class(ext, v)
+            if points[0].is_infinity:
                 assert minpoly is None
+                seen.add("inf")
                 continue
+            seen.add("k = 1" if ext.k == 1 else "size < k" if g.size(v) < ext.k else "size = k > 1")
+            product = Poly.one(ext)
+            for point in points:
+                product = product * Poly(ext, (-point.value, 1))
+            assert Poly(ext, minpoly) == product
             assert minpoly[-1] == 1
-            assert len(minpoly) - 1 == g.size(v)
+            assert len(minpoly) - 1 == g.size(v) == len(points)
             assert poly_is_irreducible(Poly(Fp, minpoly))
-            for point in frobenius_class(ext, v):
-                assert not Poly(ext, minpoly).eval(point.value)
             if v in g.critical:
                 vanishing = [f for f in factors if not f.lift_to(ext).eval(g.point(v).value)]
                 assert [f.coeffs for f in vanishing] == [minpoly]
+    assert seen == {"inf", "k = 1", "size < k", "size = k > 1"}
+
+
+def test_class_names_make_no_extension_field_arithmetic(monkeypatch):
+    # naming the 112 postcritical classes of the F(11^5) graph raises no
+    # FFElem to a power and builds no Poly over a field with k > 1
+    data = orbifold_data(postcritical_graph(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(11))))
+    assert data.field.k == 5
+    calls = []
+    power, init, make = FFElem.__pow__, Poly.__init__, Poly._make.__func__
+
+    def counted_power(self, e):
+        calls.append("FFElem.__pow__")
+        return power(self, e)
+
+    def counted_init(self, field, coeffs=()):
+        if field.k > 1:
+            calls.append("Poly over F_{p^k}")
+        init(self, field, coeffs)
+
+    def counted_make(cls, field, coeffs):
+        if field.k > 1:
+            calls.append("Poly over F_{p^k}")
+        return make(cls, field, coeffs)
+
+    monkeypatch.setattr(FFElem, "__pow__", counted_power)
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(Poly, "_make", classmethod(counted_make))
+    rows = data.classes()
+    assert len(rows) == 112
+    assert calls == []
 
 
 def _char0_graph(expr):

@@ -9,15 +9,27 @@ from pathlib import Path
 
 import pytest
 
-from flatlab import Poly, orbifold_data, parse_ratfunc, postcritical_graph, rationals, reduce_mod_p
+from conftest import frobenius_class
+
+from flatlab import Poly, format_ratfunc, orbifold_data, parse_ratfunc, postcritical_graph, rationals, reduce_mod_p
 from flatlab.cli import main
-from flatlab.dynamics import frobenius_class
 
 GOLDEN = Path(__file__).parent / "golden"
 LATTES = "(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)"
 LATTES_X3P1 = "(1/4*t^4 - 2*t)/(t^3 + 1)"  # doubling on y^2 = x^3 + 1
 LATTES_X3MXP1 = "(1/4*t^4 + 1/2*t^2 - 2*t + 1/4)/(t^3 - t + 1)"  # on y^2 = x^3 - x + 1
 WEIGHTS = ["--weights", "1,2,3,4,6,12"]
+CONJUGATE_BY = "(2*t+1)/(t+3)"
+# {name: (table map, its conjugate by CONJUGATE_BY as format_ratfunc prints it)}
+CONJUGATE_PAIRS = {
+    "244-d4": ("(t-1)^4/(16*t*(t+1)^2)",
+               "(-t^4 + 4*t^3 - 25/4*t^2 + 11/4*t - 13/32)/(t^4 - 21/4*t^2 + 3/2*t + 3/64)"),
+    "236-d3": ("-(t+4)^3/(27*t^2)",
+               "(241/728*t^3 - 303/364*t^2 + 57/728*t + 79/91)/(t^3 - 1923/728*t^2 + 453/364*t + 181/728)"),
+    "333-d4": ("(t^4+18*t^2-27)/(8*t^3)",
+               "(-1/2*t^4 + 3/2*t^3 - 7/6*t^2 - 53/27*t + 367/216)/(t^4 - 3*t^3 + 7/3*t^2 - 67/36*t + 407/432)"),
+}
+CONJUGATES = {name: conj for name, (_, conj) in CONJUGATE_PAIRS.items()}
 
 CASES = {
     "classify-t2-char0": ["classify", "t^2", "--primes", "5..30", "--char0"],
@@ -64,6 +76,14 @@ CASES = {
     "classify-lattes-244-d4-5-50": ["classify", "(t-1)^4/(16*t*(t+1)^2)", "--primes", "5..50"],
     "classify-lattes-236-d3-5-50": ["classify", "-(t+4)^3 / (27*t^2)", "--primes", "5..50"],
     "classify-lattes-333-d4-5-50": ["classify", "(t^4+18*t^2-27)/(8*t^3)", "--primes", "5..50"],
+    # the (2,4,4) map of degree 2, the (2,3,6) map of degree 4, and the x of
+    # [sqrt(-2)] on y^2 = x^3 + 4x^2 + 2x, a (2,2,2,2) map of degree 2
+    "classify-lattes-244-d2-5-50": ["classify", "-(t+1)^2 / (4*t)", "--primes", "5..50"],
+    "classify-lattes-236-d4-5-50": ["classify", "t*(t-8)^3/(64*(t+1)^3)", "--primes", "5..50"],
+    "classify-lattes-2222-cm-d2-5-50": ["classify", "-(t^2+4*t+2) / (2*t)", "--primes", "5..50"],
+    # the (2,4,4), (2,3,6) and (3,3,3) maps above conjugated by (2t+1)/(t+3)
+    **{f"classify-lattes-{name}-conj-5-50": ["classify", CONJUGATES[name], "--primes", "5..50"]
+       for name in ("244-d4", "236-d3", "333-d4")},
     "construct-lattes-1-0-2": ["construct", "lattes", "1", "0", "2"],
     "construct-lattes-m1-1-2": ["construct", "lattes", "-1", "1", "2"],
     "construct-lattes-2-3-3-p101": ["construct", "lattes", "2", "3", "3", "--p", "101"],
@@ -81,6 +101,13 @@ CASES = {
 def test_golden_report(name, capsys):
     main(CASES[name] + ["--json"])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATE_PAIRS))
+def test_conjugate_cases_are_the_conjugates(name):
+    table_map, conj = CONJUGATE_PAIRS[name]
+    phi = parse_ratfunc(CONJUGATE_BY, rationals())
+    assert format_ratfunc(parse_ratfunc(table_map, rationals()).conjugate(phi)) == conj
 
 
 def test_every_golden_file_has_a_case():

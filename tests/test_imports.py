@@ -5,8 +5,10 @@ no module but ``dynamics`` turns an orbit-graph vertex into points.
 A deletion that leaves an import or a helper behind fails here.  The
 package's ``__init__.py`` re-exports names without using them, so its
 imports are not checked for use.  Elsewhere a Frobenius class is named by
-its minimal polynomial (``dynamics.class_min_poly``), so no report depends
-on the modulus of F_{p^k}.
+its minimal polynomial over F_p (``dynamics.class_min_poly``, the first
+F_p-linear relation among the powers of its point), so no report depends
+on the modulus of F_{p^k}.  The points of a class are listed only by the
+tests' oracle, ``conftest.frobenius_class``.
 """
 
 import ast
@@ -93,7 +95,7 @@ def test_no_orphaned_private_helpers():
     assert orphaned_private_defs(package, [p.read_text() for p in TESTS]) == []
 
 
-VERTEX_DECODERS = {"vertex_key", "vertex_point", "frobenius_class", "point_key"}
+VERTEX_DECODERS = {"vertex_key", "vertex_point", "point_key"}
 
 
 def vertex_decoder_uses(source):
@@ -114,12 +116,12 @@ def test_checker_flags_a_vertex_decoder():
         from . import dynamics
         from .dynamics import (
             class_min_poly,
-            frobenius_class,
+            vertex_key,
         )
         dynamics.vertex_point(field, v)
         graph.point(v)
         """)
-    assert vertex_decoder_uses(src) == [(1, "point_key"), (3, "frobenius_class"), (7, "vertex_point")]
+    assert vertex_decoder_uses(src) == [(1, "point_key"), (3, "vertex_key"), (7, "vertex_point")]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "dynamics.py"], ids=lambda p: p.name)

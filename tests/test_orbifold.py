@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     assert_mu_matches,
+    frobenius_class,
     lattes_expr,
     mu_oracle,
     pointwise_orbifold,
@@ -23,7 +24,7 @@ from flatlab import (
     parse_ratfunc,
     postcritical_graph,
 )
-from flatlab.dynamics import frobenius_class, point_key
+from flatlab.dynamics import point_key
 from flatlab.orbifold import MU_INFINITY, euler_char
 from flatlab.errors import WeightDivisibleByP
 

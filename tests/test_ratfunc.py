@@ -22,7 +22,8 @@ from flatlab import (
 )
 import flatlab.ratfunc as ratfunc
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import _Substitution, _primitive_integer_pair, poly_roots, rational_roots, root_multiplicity
+from flatlab.ratfunc import (MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots, rational_roots,
+                             root_multiplicity)
 
 Q = rationals()
 F5 = field_create(5)
@@ -113,6 +114,24 @@ def test_parse_ascii_digits_only(text, pos):
     with pytest.raises(ParseError) as err:
         parse_ratfunc(text, Q)
     assert err.value.pos == pos
+
+
+def test_parse_degree_bound():
+    # MAX_PARSE_DEGREE stays above every printed form: the goldens' largest
+    # power is t^1212, and a weight-(p - 1) form has degree at most 2 (p - 1)
+    assert MAX_PARSE_DEGREE == 100_000
+    assert parse_ratfunc(f"t^{MAX_PARSE_DEGREE - 1}", Q).num.degree == MAX_PARSE_DEGREE - 1
+    assert parse_ratfunc("t^60000/(t^40000+1)", F7).den.degree == 40000
+    for text, field, pos in [
+        ("t^60000*t^60000", Q, 7),  # two in-bound powers, a product past the bound
+        ("1/(t^60000*t^60000)", F7, 10),
+        ("t^60000 + 1/t^50000", F7, 8),  # the common denominator is in bound, t^110000 + 1 is not
+        ("(t^2+1)^60000", F7, 8),  # square-and-multiply crosses the bound
+        ("t^100001", Q, 2),
+    ]:
+        with pytest.raises(ParseError, match="past the parser's bound of 100000") as err:
+            parse_ratfunc(text, field)
+        assert err.value.pos == pos
 
 
 # The oracle: the same expression evaluated with RatFunc arithmetic, which
