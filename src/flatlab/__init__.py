@@ -29,9 +29,7 @@ from .ratfunc import (
 )
 from .dynamics import (
     CriticalDatum,
-    INFINITY,
     OrbitGraph,
-    P1Point,
     critical_locus,
     p1_eval,
     postcritical_graph,

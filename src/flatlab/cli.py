@@ -204,6 +204,11 @@ def cmd_classify(args):
         pmin, pmax = map(int, args.primes.split(".."))
     except ValueError:
         raise ValueError(f"bad prime range {args.primes!r}; expected MIN..MAX") from None
+    if pmin > pmax:
+        raise ValueError(f"bad prime range {args.primes!r}; MIN is past MAX")
+    for option, value in (("--jobs", args.jobs), ("--min-good", args.min_good)):
+        if value < 1:
+            raise ValueError(f"bad {option} {value}; expected at least 1")
     if args.weights in ("fermat", "none"):
         policy = args.weights
     else:

@@ -1,7 +1,8 @@
 """Points of P^1, projective evaluation, ramification indices, the critical
 locus, and the forward orbit graph of the critical points.
 
-P^1 over a field k is identified with k plus a single point at infinity.
+A point of P^1 over a field k is an element of k, or None for the point at
+infinity; test for infinity with `is None`, since the point 0 is falsy.
 The critical locus is the set of roots of the Wronskian W = P'Q - PQ',
 taken first in the base field.  Over F_p the irreducible factors of W that
 those roots leave are split in one extension F_{p^k} (k = lcm of their
@@ -56,69 +57,37 @@ from .ratfunc import (Poly, RatFunc, _edf, _primitive_integer_pair, poly_factor,
                       rational_roots, root_multiplicity)
 
 
-class P1Point:
-    """A field element or the point at infinity (value None)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    @property
-    def is_infinity(self):
-        return self.value is None
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Point):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(("P1", self.value))
-
-    def __str__(self):
-        return "inf" if self.value is None else str(self.value)
-
-    def __repr__(self):
-        return f"P1Point({self})"
-
-
-INFINITY = P1Point(None)
-
-
-def point_key(pt: P1Point):
-    """Deterministic sort key; infinity sorts last."""
-    if pt.is_infinity:
+def point_key(pt):
+    """Deterministic sort key; infinity (None) sorts last."""
+    if pt is None:
         return (1, ())
-    v = pt.value
-    if isinstance(v, FFElem):
-        return (0, v.coeffs)
-    return (0, (v,))
+    if isinstance(pt, FFElem):
+        return (0, pt.coeffs)
+    return (0, (pt,))
 
 
 @dataclass(frozen=True)
 class CriticalDatum:
-    point: P1Point
+    point: object  # a field element, or None at infinity
     e: int
 
 
-def p1_eval(sigma: RatFunc, pt: P1Point) -> P1Point:
+def p1_eval(sigma: RatFunc, pt):
     """Evaluate a non-constant map at a point of P^1 (total on P^1)."""
-    if pt.is_infinity:
+    if pt is None:
         dn, dd = sigma.num.degree, sigma.den.degree
         if dn > dd:
-            return INFINITY
+            return None
         if dn < dd:
-            return P1Point(sigma.field.zero)
-        return P1Point(sigma.num.lc() / sigma.den.lc())
-    nv = sigma.num.eval(pt.value)
-    dv = sigma.den.eval(pt.value)
+            return sigma.field.zero
+        return sigma.num.lc() / sigma.den.lc()
+    dv = sigma.den.eval(pt)
     if not dv:
-        return INFINITY
-    return P1Point(nv / dv)
+        return None
+    return sigma.num.eval(pt) / dv
 
 
-def ram_index(sigma: RatFunc, pt: P1Point) -> int:
+def ram_index(sigma: RatFunc, pt) -> int:
     """Ramification index e of sigma at pt: the valuation at pt of the
     pulled-back local parameter at sigma(pt).
 
@@ -134,16 +103,16 @@ def ram_index(sigma: RatFunc, pt: P1Point) -> int:
     field = sigma.field
     target = p1_eval(sigma, pt)
     t = RatFunc.gen(field)
-    if pt.is_infinity:
+    if pt is None:
         work = sigma.compose(t.reciprocal())
-    elif pt.value:
-        work = sigma.compose(RatFunc(Poly(field, (pt.value, 1))))
+    elif pt:
+        work = sigma.compose(RatFunc(Poly(field, (pt, 1))))
     else:
         work = sigma
-    if target.is_infinity:
+    if target is None:
         g = work.reciprocal()
     else:
-        g = work - target.value
+        g = work - target
     e = root_multiplicity(g.num, 0)
     if e < 1:
         raise RuntimeError("moved point is not a zero")  # internal guard
@@ -169,10 +138,10 @@ def _critical_data(d, wron, roots):
     each e against ram_index instead.  Returns [CriticalDatum...] sorted by
     point.
     """
-    data = [CriticalDatum(P1Point(a), m + 1) for a, m in roots]
+    data = [CriticalDatum(a, m + 1) for a, m in roots]
     data.sort(key=lambda c: point_key(c.point))
     if wron.degree < 2 * d - 2:
-        data.append(CriticalDatum(INFINITY, 2 * d - 1 - wron.degree))
+        data.append(CriticalDatum(None, 2 * d - 1 - wron.degree))
     return data
 
 
@@ -220,7 +189,7 @@ class OrbitGraph:
     sigma has coefficients in F_p, so the Frobenius x -> x^p commutes with
     it: it maps orbits to orbits and keeps every ramification index, and
     hence mu.  A vertex is the point_key-least point of its class, as a
-    vertex_key: a packed int over F_{p^k}, the P1Point itself over Q (where
+    vertex_key: a packed int over F_{p^k}, the point itself over Q (where
     every class is one point).
 
     vertices: the classes of the critical points and of all their forward
@@ -247,32 +216,32 @@ class OrbitGraph:
         edge targets."""
         return frozenset(self.edges.values())
 
-    def point(self, v) -> P1Point:
+    def point(self, v):
         return vertex_point(self.field, v)
 
     def size(self, v) -> int:
         return self.sizes.get(v, self.field.k)
 
 
-def vertex_key(field, pt: P1Point):
+def vertex_key(field, pt):
     """The orbit-graph key of a point.  Over F_{p^k} it is one int: the
-    residues c_0, ..., c_{k-1} of the value as base-p digits with c_0
+    residues c_0, ..., c_{k-1} of the element as base-p digits with c_0
     leading, so that int order is point_key order, and p^k at infinity.
-    Over Q it is the P1Point."""
+    Over Q it is the point itself, a Fraction or None."""
     if field.is_rationals:
         return pt
-    if pt.is_infinity:
+    if pt is None:
         return field.order
-    return _from_digits(pt.value.coeffs, field.p)
+    return _from_digits(pt.coeffs, field.p)
 
 
-def vertex_point(field, v) -> P1Point:
+def vertex_point(field, v):
     """The point an orbit-graph key stands for (the inverse of vertex_key)."""
     if field.is_rationals:
         return v
     if v == field.order:
-        return INFINITY
-    return P1Point(FFElem(field, tuple(_to_digits(v, field.p, field.k))))
+        return None
+    return FFElem(field, tuple(_to_digits(v, field.p, field.k)))
 
 
 def class_min_poly(field, v):
@@ -293,7 +262,7 @@ def class_min_poly(field, v):
 class _ResidueWalk:
     """sigma over F_p on P^1(F_{p^k}) as vertex keys, for the orbit walk.
 
-    No FFElem or P1Point is made per point.  sigma's coefficients lie in
+    No FFElem is made per point.  sigma's coefficients lie in
     F_p, so sigma(a) is computed by Kronecker substitution: the residues of
     a fill the slots of one integer, Horner's rule gives N(a(x)) and
     D(a(x)) over Z, and one fixed matrix reduces them mod m and p (the
@@ -387,8 +356,8 @@ class _RationalWalk:
 
     def step(self, v):
         nxt = p1_eval(self.sigma, v)
-        if not nxt.is_infinity:
-            size = max(abs(nxt.value.numerator), nxt.value.denominator)
+        if nxt is not None:
+            size = max(abs(nxt.numerator), nxt.denominator)
             if size.bit_length() > self.max_bits:
                 raise OrbitBoundExceeded(
                     f"a critical orbit never closes: it passes the escape height of {self.max_bits} bits"

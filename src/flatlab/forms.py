@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BadWeight, FieldMismatch, Inseparable, NotSemiInvariant
 from .exactnum import mat_kernel
-from .dynamics import P1Point, postcritical_graph
+from .dynamics import postcritical_graph
 from .orbifold import MU_INFINITY, orbifold_data
 from .ratfunc import Poly, RatFunc, _Substitution, _poly_pth_root, root_multiplicity
 
@@ -93,8 +93,8 @@ def form_pullback(sigma: RatFunc, omega: TupleForm) -> TupleForm:
     return TupleForm(RatFunc(A, B), omega.weight)
 
 
-def form_ord(omega: TupleForm, pt: P1Point) -> int:
-    """Order of vanishing of omega at a point of P^1.
+def form_ord(omega: TupleForm, pt) -> int:
+    """Order of vanishing of omega at a point of P^1 (None at infinity).
 
     At finite A this is the multiplicity of A in the numerator minus the
     multiplicity in the denominator of f; at infinity the coordinate change
@@ -103,10 +103,9 @@ def form_ord(omega: TupleForm, pt: P1Point) -> int:
     f = omega.func
     if f.is_zero:
         raise ValueError("order of the zero form")
-    if pt.is_infinity:
+    if pt is None:
         return (f.den.degree - f.num.degree) - 2 * omega.weight
-    a = pt.value
-    return root_multiplicity(f.num, a) - root_multiplicity(f.den, a)
+    return root_multiplicity(f.num, pt) - root_multiplicity(f.den, pt)
 
 
 @dataclass(frozen=True)

@@ -257,12 +257,102 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd (zero if both arguments are zero)."""
+    """Monic gcd (zero if both arguments are zero).  Over Q it is the
+    modular _int_gcd, since Euclid on Fractions grows their coefficients
+    exponentially in the degree."""
     if a._over_prime_field:
         return Poly._make(a.field, _gf_gcd(a.coeffs, b.coeffs, a.field.p))
+    if a.field.is_rationals and not (a.is_zero or b.is_zero):
+        return Poly(a.field, _int_gcd(_integer_primitive(a.coeffs), _integer_primitive(b.coeffs))).monic()
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def _integer_primitive(coeffs):
+    """The primitive integer multiple of a nonzero list of rationals."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _gcd_primes():
+    """Primes below 2^61, from the Mersenne prime 2^61 - 1 down."""
+    yield 2 ** 61 - 1
+    for n in range(2 ** 61 - 3, 0, -2):
+        if is_prime(n):
+            yield n
+
+
+def _factor_bound(a):
+    """Mignotte's bound: every coefficient of every factor over Z of the
+    int list a is at most sqrt(n + 1) 2^n max |a_i|, n = deg a."""
+    return (math.isqrt(len(a)) + 1) * 2 ** (len(a) - 1) * max(map(abs, a))
+
+
+def _int_quotient(a, h, bound):
+    """a / h for int lists, or None when h does not divide a over Z or a
+    quotient coefficient passes bound."""
+    n = len(h) - 1
+    if len(a) <= n:
+        return None
+    a, lc = list(a), h[-1]
+    quo = [0] * (len(a) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(a[i + n], lc)
+        if r or abs(c) > bound:
+            return None
+        quo[i] = c
+        if c:
+            for j in range(n):
+                a[i + j] -= c * h[j]
+    return None if any(a[:n]) else quo
+
+
+def _int_gcd(a, b):
+    """The gcd over Q of two nonzero primitive int lists, as a primitive int
+    list (constant first) with a positive leading coefficient.
+
+    Modular (von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
+    At a prime p dividing neither leading coefficient the gcd over Q
+    reduces to a divisor of the gcd mod p, so a gcd of degree 0 mod p
+    proves the gcd over Q is 1: coprime inputs cost one gcd mod one prime.
+    Otherwise the gcds mod primes of the least degree seen, scaled to the
+    leading coefficient c = gcd(lc a, lc b), are joined by the Chinese
+    remainder theorem.  Once the modulus passes 2 c times Mignotte's bound,
+    or the joined coefficients stop changing, the primitive part h is
+    tried: h is the gcd when it divides a and b, since it then divides the
+    gcd and its degree is at least the gcd's.  Trial division stops at
+    Mignotte's bound, so every step is bounded.
+    """
+    c = math.gcd(a[-1], b[-1])
+    joined = None
+    for p in _gcd_primes():
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        g = _gf_gcd([x % p for x in a], [x % p for x in b], p)
+        if len(g) == 1:
+            return [1]
+        if joined is None or len(g) < len(joined):
+            modulus, joined = 1, [0] * len(g)  # every earlier prime was unlucky
+            bound_a, bound_b = _factor_bound(a), _factor_bound(b)
+            limit = 2 * c * min(bound_a, bound_b)
+        elif len(g) > len(joined):
+            continue  # an unlucky prime
+        inv, product = pow(modulus, -1, p), modulus * p
+        new = []
+        for x, y in zip(joined, g):  # symmetric residues mod the product
+            z = (x + modulus * ((c * y - x) * inv % p)) % product
+            new.append(z - product if 2 * z > product else z)
+        stable, joined, modulus = new == joined, new, product
+        if stable or modulus > limit:
+            content = math.gcd(*joined)
+            h = [x // content for x in joined]
+            if h[-1] < 0:
+                h = [-x for x in h]
+            if _int_quotient(a, h, bound_a) is not None and _int_quotient(b, h, bound_b) is not None:
+                return h
 
 
 def root_multiplicity(f: Poly, a) -> int:
@@ -627,6 +717,10 @@ def _tokenize(text):
 # A numerator or denominator the parser builds has degree at most this; the
 # weight-(p - 1) form a sweep prints has degree at most 2 (p - 1).
 MAX_PARSE_DEGREE = 100_000
+# Over Q a product the parser builds has at most about this many bits: its
+# length times a bound on the bit length of its coefficients.  (t+1)^1000,
+# about 10^6 bits, is in bound; 2^9999999999 and (t+1)^60000 are not.
+MAX_PARSE_BITS = 2 ** 21
 
 
 class _Parser:
@@ -637,8 +731,9 @@ class _Parser:
     zur Gathen and Gerhard, *Modern Computer Algebra*); an operand whose den
     is not constant is put in lowest terms first, so that no input grows
     past its canonical size, as ((t+1)/(t+1))^e or t*(t+1)/(t+1)*... would.
-    A shift or a product past MAX_PARSE_DEGREE is a ParseError, raised
-    before its list is built.
+    A shift or a product past MAX_PARSE_DEGREE, or over Q a product past
+    MAX_PARSE_BITS, is a ParseError, raised before its list is built; a
+    power is built by products, so each of them is checked.
     """
 
     def __init__(self, text, field):
@@ -669,6 +764,8 @@ class _Parser:
         if a == [1] or b == [1]:
             return b if a == [1] else a
         _check_degree(len(a) + len(b) - 2, pos)
+        if not self.p:
+            _check_bits(a, b, pos)
         return _gf_mul(a, b, self.p)
 
     def operand(self, num, den):
@@ -754,12 +851,24 @@ def _check_degree(degree, pos):
         raise ParseError(f"degree {degree} is past the parser's bound of {MAX_PARSE_DEGREE}", pos)
 
 
+def _check_bits(a, b, pos):
+    """Raise if the product of the int lists a and b over Z may pass
+    MAX_PARSE_BITS: a coefficient of it is at most min(len a, len b)
+    max|a_i| max|b_j|."""
+    height = (max(map(abs, a), default=0).bit_length() + max(map(abs, b), default=0).bit_length()
+              + min(len(a), len(b)).bit_length())
+    bits = (len(a) + len(b) - 1) * height
+    if bits > MAX_PARSE_BITS:
+        raise ParseError(f"a product of about {bits} bits is past the parser's bound of {MAX_PARSE_BITS}", pos)
+
+
 def parse_ratfunc(text: str, field: Field) -> RatFunc:
     """Parse an expression string into a canonical RatFunc over field.
 
     Raises ParseError (with position) on malformed or too deeply nested
-    input or on a degree past MAX_PARSE_DEGREE, and DivisionByZero if the
-    denominator is the zero polynomial.
+    input, on a degree past MAX_PARSE_DEGREE, or over Q on a product past
+    MAX_PARSE_BITS, and DivisionByZero if the denominator is the zero
+    polynomial.
     """
     parser = _Parser(text, field)
     try:

@@ -8,8 +8,6 @@ from fractions import Fraction
 
 from flatlab import (
     EllipticCurve,
-    INFINITY,
-    P1Point,
     Poly,
     RatFunc,
     critical_locus,
@@ -49,7 +47,7 @@ def mu_oracle(graph, max_m=12, cap=2 ** 32, stable_window=None):
         stable_window = max_m // 2
     field = graph.field
     sig = graph.sigma.lift_to(field)
-    pts = [P1Point(e) for e in field.elements()] + [INFINITY]
+    pts = list(field.elements()) + [None]
     e_of = {pt: ram_index(sig, pt) for pt in pts}
     step = {pt: p1_eval(sig, pt) for pt in pts}
     arrivals = {pt: [] for pt in pts}
@@ -80,12 +78,12 @@ def frobenius_class(field, v):
     back, by FFElem arithmetic.  The oracle that class names are checked
     against."""
     pt = vertex_point(field, v)
-    if pt.is_infinity or field.k == 1:
+    if pt is None or field.k == 1:
         return [pt]
     out = [pt]
-    nxt = pt.value ** field.p
-    while nxt != pt.value:
-        out.append(P1Point(nxt))
+    nxt = pt ** field.p
+    while nxt != pt:
+        out.append(nxt)
         nxt = nxt ** field.p
     return sorted(out, key=point_key)
 
@@ -111,7 +109,7 @@ def postcritical_points(graph):
 def pointwise_orbifold(sigma):
     """The orbifold of a map over F_p from the walk over points, one vertex
     per point of P^1(F_{p^k}) with FFElem arithmetic, and the mu scan over
-    that graph: ([(P1Point, mu)] over the postcritical set sorted by point,
+    that graph: ([(point, mu)] over the postcritical set sorted by point,
     chi, signature).  The library walks Frobenius classes instead."""
     ext, crits = critical_locus(sigma)
     sig = sigma.lift_to(ext)
@@ -152,13 +150,14 @@ def rigorous_mu_oracle(graph):
 
 def preimages(sigma, A):
     """All preimages of A under a map over F_p, inside a splitting
-    extension: returns (ext field, lifted sigma, [(P1Point, e), ...])."""
+    extension: returns (ext field, lifted sigma, [(point, e), ...]), a
+    point being a field element or None at infinity."""
     field = sigma.field
     assert field.k == 1
-    if A.is_infinity:
+    if A is None:
         poly = sigma.den
     else:
-        poly = sigma.num - sigma.den.scale(A.value)
+        poly = sigma.num - sigma.den.scale(A)
     pts = []
     k = 1
     factors = poly_factor(poly) if not poly.is_zero else []
@@ -168,9 +167,9 @@ def preimages(sigma, A):
     sig = sigma.lift_to(ext)
     for g, _ in factors:
         for root, _ in poly_roots(g.lift_to(ext)):
-            pts.append(P1Point(root))
-    if p1_eval(sigma, INFINITY) == A:
-        pts.append(INFINITY)
+            pts.append(root)
+    if p1_eval(sigma, None) == A:
+        pts.append(None)
     return ext, sig, [(pt, ram_index(sig, pt)) for pt in pts]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import lattes_expr
 
-from flatlab import P1Point, p1_eval, parse_ratfunc, rationals
+from flatlab import p1_eval, parse_ratfunc, rationals
 from flatlab import cli
 from flatlab.cli import _char0_report, main, run_classify
 from flatlab.dynamics import _escape_bits
@@ -178,7 +178,7 @@ def test_char0_large_constant_term_stops():
 
 def test_escape_bits_bound_is_an_escape_height():
     def size(pt):  # max(|numerator|, denominator) of a point of P^1(Q)
-        return 1 if pt.is_infinity else max(abs(pt.value.numerator), pt.value.denominator)
+        return 1 if pt is None else max(abs(pt.numerator), pt.denominator)
 
     for expr in ("t^2+1", "(t^2+1)/t", "t^2-2", "1/t^2", "(2*t^3-t)/(3*t^2+5)", "t^3/7-t+1/2"):
         sigma = parse_ratfunc(expr, rationals())
@@ -186,7 +186,7 @@ def test_escape_bits_bound_is_an_escape_height():
         lo = 2 ** bits
         for a in range(lo - 40, lo + 40):
             for b in (1, 3, lo - 1, lo + 1, 2 * lo + 1):
-                P = P1Point(Fraction(a, b))
+                P = Fraction(a, b)
                 if size(P).bit_length() > bits:
                     # past the escape height, the height grows along the orbit
                     assert size(p1_eval(sigma, P)) > size(P)
@@ -194,7 +194,7 @@ def test_escape_bits_bound_is_an_escape_height():
     # for the conjugate k t^2 - 2/k of t^2-2 with k = 10^6, the critical
     # orbit 0 -> -2/k -> 2/k -> 2/k
     sigma = parse_ratfunc("10^18/t^2", rationals())
-    assert p1_eval(sigma, P1Point(Fraction(10**6))) == P1Point(Fraction(10**6))
+    assert p1_eval(sigma, Fraction(10**6)) == Fraction(10**6)
     assert (10**6).bit_length() <= _escape_bits(sigma)
     c0 = _char0_report(parse_ratfunc("1000000*t^2-1/500000", rationals()))
     assert c0["supported"] and c0["signature"] == [2, 2, "inf"]
@@ -235,6 +235,34 @@ def test_classify_huge_exponent_is_a_parse_error(capsys, exponent):
     assert code == 3
     assert out == ""
     assert err.strip() == f"error: degree {exponent} is past the parser's bound of 100000 (at position 2)"
+
+
+@pytest.mark.parametrize("text", ["2^9999999999*t^2+1", "(t+1)^60000"])
+def test_classify_huge_coefficients_are_a_parse_error(capsys, text):
+    # 2^9999999999 would need more than a gigabyte (a MemoryError, exit 1),
+    # and (t+1)^60000 runs for minutes inside the degree bound
+    start = time.process_time()
+    code, out, err = run(capsys, "classify", text, "--primes", "5..7")
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "past the parser's bound of 2097152" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--primes", "50..5"], "bad prime range '50..5'; MIN is past MAX"),
+    (["--jobs", "0"], "bad --jobs 0; expected at least 1"),
+    (["--jobs", "-1"], "bad --jobs -1; expected at least 1"),
+    (["--min-good", "0"], "bad --min-good 0; expected at least 1"),
+    (["--min-good", "-3"], "bad --min-good -3; expected at least 1"),
+])
+def test_classify_rejects_meaningless_ranges_and_counts(capsys, args, message):
+    # before, an empty range swept no prime (exit 2), and a count below 1
+    # ran one job or needed no good prime
+    code, out, err = run(capsys, "classify", "t^2", *args)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: {message}"
 
 
 # ---------------------------------------------------------------- verify

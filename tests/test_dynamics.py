@@ -5,12 +5,12 @@ import pytest
 from conftest import frobenius_class, lattes_expr, postcritical_points, preimages, random_separable_map
 
 from flatlab import (
-    INFINITY,
     FFElem,
-    P1Point,
     Poly,
+    TupleForm,
     critical_locus,
     field_create,
+    form_ord,
     orbifold_data,
     p1_eval,
     parse_ratfunc,
@@ -28,29 +28,59 @@ F7 = field_create(7)
 
 
 def pt(field, a):
-    return P1Point(field.elem(a))
+    return field.elem(a)
+
+
+def point_str(point):
+    return "inf" if point is None else str(point)
 
 
 # ---------------------------------------------------------------- evaluation
 
 def test_eval_pole_goes_to_infinity():
-    assert p1_eval(parse_ratfunc("1/t", F5), pt(F5, 0)) == INFINITY
+    assert p1_eval(parse_ratfunc("1/t", F5), pt(F5, 0)) is None
 
 
 def test_eval_polynomial_at_infinity():
-    assert p1_eval(parse_ratfunc("t^2-2", F7), INFINITY) == INFINITY
+    assert p1_eval(parse_ratfunc("t^2-2", F7), None) is None
 
 
 def test_eval_leading_coefficient_ratio():
     sig = parse_ratfunc("(3*t^2+1)/(t^2+1)", F5)
-    assert p1_eval(sig, INFINITY) == pt(F5, 3)
+    assert p1_eval(sig, None) == pt(F5, 3)
     # cross-check via the substitution t -> 1/s at s = 0
     flipped = sig.compose(parse_ratfunc("1/t", F5))
     assert flipped.num.eval(F5.zero) / flipped.den.eval(F5.zero) == F5.elem(3)
 
 
 def test_eval_degree_deficit_gives_zero():
-    assert p1_eval(parse_ratfunc("t/(t^2+1)", F5), INFINITY) == pt(F5, 0)
+    assert p1_eval(parse_ratfunc("t/(t^2+1)", F5), None) == pt(F5, 0)
+
+
+@pytest.mark.parametrize("field, expr, at_infinity, e_at_zero", [
+    (F7, "1/t^2", 0, 2),
+    (F5, "(t^3+t+1)/t", None, 1),  # critical points in F(5^2)
+    (rationals(), "1/t^2", 0, 2),
+], ids=["F_p", "F_p^k", "Q"])
+def test_infinity_is_none_across_the_point_api(field, expr, at_infinity, e_at_zero):
+    # a point of P^1 is a field element or None; the point 0 is falsy, so
+    # each check also runs at 0, where the answer differs from infinity's
+    sigma = parse_ratfunc(expr, field)
+    ext, crits = critical_locus(sigma)
+    lifted = sigma.lift_to(ext)
+    zero = ext.zero
+    assert p1_eval(lifted, None) == (None if at_infinity is None else ext.elem(at_infinity))
+    assert p1_eval(lifted, zero) is None  # a pole
+    (datum,) = [c for c in crits if c.point is None]
+    assert datum.e == ram_index(lifted, None) == 2
+    assert ram_index(lifted, zero) == e_at_zero
+    omega = TupleForm(parse_ratfunc("t", ext), 1)
+    assert (form_ord(omega, None), form_ord(omega, zero)) == (-3, 1)
+    graph = postcritical_graph(sigma)
+    assert graph.field == ext and vertex_key(ext, None) == ext.order
+    assert ext.order in graph.vertices
+    assert graph.point(ext.order) is None
+    assert class_min_poly(ext, ext.order) is None
 
 
 # ---------------------------------------------------------------- ramification
@@ -58,7 +88,7 @@ def test_eval_degree_deficit_gives_zero():
 def test_ram_index_examples():
     t2 = parse_ratfunc("t^2", F7)
     assert ram_index(t2, pt(F7, 0)) == 2
-    assert ram_index(t2, INFINITY) == 2
+    assert ram_index(t2, None) == 2
     assert ram_index(parse_ratfunc("t^2-2", F7), pt(F7, 1)) == 1
 
 
@@ -75,8 +105,8 @@ def test_ram_index_inseparable():
 
 def test_ram_index_over_q():
     sig = parse_ratfunc("t^3", rationals())
-    assert ram_index(sig, P1Point(sig.field.elem(0))) == 3
-    assert ram_index(sig, INFINITY) == 3
+    assert ram_index(sig, sig.field.elem(0)) == 3
+    assert ram_index(sig, None) == 3
 
 
 # ---------------------------------------------------------------- critical locus
@@ -84,17 +114,17 @@ def test_ram_index_over_q():
 def test_critical_locus_power_map():
     ext, data = critical_locus(parse_ratfunc("t^2", F7))
     assert ext == F7
-    assert [(str(c.point), c.e) for c in data] == [("0", 2), ("inf", 2)]
+    assert [(point_str(c.point), c.e) for c in data] == [("0", 2), ("inf", 2)]
 
 
 def test_critical_locus_chebyshev():
     _, data = critical_locus(parse_ratfunc("t^2-2", F7))
-    assert [(str(c.point), c.e) for c in data] == [("0", 2), ("inf", 2)]
+    assert [(point_str(c.point), c.e) for c in data] == [("0", 2), ("inf", 2)]
 
 
 def test_critical_locus_cubic():
     _, data = critical_locus(parse_ratfunc("t^3-3*t", F7))
-    assert [(str(c.point), c.e) for c in data] == [("1", 2), ("6", 2), ("inf", 3)]
+    assert [(point_str(c.point), c.e) for c in data] == [("1", 2), ("6", 2), ("inf", 3)]
     assert sum(c.e - 1 for c in data) == 2 * 3 - 2
 
 
@@ -163,7 +193,7 @@ def test_ram_multiplicativity_along_orbits():
             composed = sig
             for _ in range(m - 1):
                 composed = sig.compose(composed)
-            B = P1Point(F17.elem(rng.randrange(17)))
+            B = F17.elem(rng.randrange(17))
             prod = 1
             v = B
             for _ in range(m):
@@ -184,10 +214,9 @@ def test_fiber_count_in_splitting_field():
             lifted = sig.lift_to(ext)
             crit_values = {p1_eval(lifted, c.point) for c in crits}
             a = field.elem(rng.randrange(p))
-            if P1Point(ext.lift(a)) in crit_values:
+            if ext.lift(a) in crit_values:
                 continue
-            A = P1Point(a)
-            _, _, pre = preimages(sig, A)
+            _, _, pre = preimages(sig, a)
             assert len(pre) == sig.degree
             assert all(e == 1 for _, e in pre)
 
@@ -204,10 +233,10 @@ def point_graph(expr, field):
 
 def test_graph_power_map():
     g, edges, post = point_graph("t^2", F7)
-    assert [str(g.point(v)) for v in g.vertices] == ["0", "inf"]
+    assert [point_str(g.point(v)) for v in g.vertices] == ["0", "inf"]
     assert edges[pt(F7, 0)] == pt(F7, 0)
-    assert edges[INFINITY] == INFINITY
-    assert post == {pt(F7, 0), INFINITY}
+    assert edges[None] is None
+    assert post == {pt(F7, 0), None}
 
 
 def test_graph_chebyshev_orbit():
@@ -215,7 +244,7 @@ def test_graph_chebyshev_orbit():
     assert edges[pt(F7, 0)] == pt(F7, 5)  # -2 = 5 mod 7
     assert edges[pt(F7, 5)] == pt(F7, 2)
     assert edges[pt(F7, 2)] == pt(F7, 2)
-    assert post == {pt(F7, 5), pt(F7, 2), INFINITY}
+    assert post == {pt(F7, 5), pt(F7, 2), None}
 
 
 def test_graph_cycle():
@@ -223,7 +252,7 @@ def test_graph_cycle():
     assert edges[pt(F5, 0)] == pt(F5, 1)
     assert edges[pt(F5, 1)] == pt(F5, 2)
     assert edges[pt(F5, 2)] == pt(F5, 0)
-    assert post == {pt(F5, 0), pt(F5, 1), pt(F5, 2), INFINITY}
+    assert post == {pt(F5, 0), pt(F5, 1), pt(F5, 2), None}
 
 
 @pytest.mark.parametrize("expr,p,k", [
@@ -238,8 +267,8 @@ def test_residue_walk_matches_p1_eval(expr, p, k):
     walk = _ResidueWalk(sigma, ext)
     lifted = sigma.lift_to(ext)
     rng = random.Random(p)
-    points = [INFINITY, P1Point(ext.zero)] + [P1Point(ext.elem_from_index(rng.randrange(ext.order))) for _ in range(40)]
-    points += [P1Point(ext.elem(a)) for a in range(min(p, 8))]
+    points = [None, ext.zero] + [ext.elem_from_index(rng.randrange(ext.order)) for _ in range(40)]
+    points += [ext.elem(a) for a in range(min(p, 8))]
     for point in points:
         key = vertex_key(ext, point)
         assert vertex_point(ext, key) == point
@@ -252,7 +281,7 @@ def test_residue_walk_matches_p1_eval(expr, p, k):
 @pytest.mark.parametrize("p,k", [(5, 3), (3, 4)])
 def test_vertex_key_codec_round_trips_in_point_key_order(p, k):
     ext = field_create(p, k)
-    points = [P1Point(a) for a in ext.elements()] + [INFINITY]
+    points = list(ext.elements()) + [None]
     keys = [vertex_key(ext, point) for point in points]
     assert [vertex_point(ext, key) for key in keys] == points
     assert sorted(range(len(points)), key=keys.__getitem__) == sorted(
@@ -282,20 +311,20 @@ def test_class_min_poly_is_the_irreducible_of_the_class():
         for v in g.vertices:
             minpoly = class_min_poly(ext, v)
             points = frobenius_class(ext, v)
-            if points[0].is_infinity:
+            if points[0] is None:
                 assert minpoly is None
                 seen.add("inf")
                 continue
             seen.add("k = 1" if ext.k == 1 else "size < k" if g.size(v) < ext.k else "size = k > 1")
             product = Poly.one(ext)
             for point in points:
-                product = product * Poly(ext, (-point.value, 1))
+                product = product * Poly(ext, (-point, 1))
             assert Poly(ext, minpoly) == product
             assert minpoly[-1] == 1
             assert len(minpoly) - 1 == g.size(v) == len(points)
             assert poly_is_irreducible(Poly(Fp, minpoly))
             if v in g.critical:
-                vanishing = [f for f in factors if not f.lift_to(ext).eval(g.point(v).value)]
+                vanishing = [f for f in factors if not f.lift_to(ext).eval(g.point(v))]
                 assert [f.coeffs for f in vanishing] == [minpoly]
     assert seen == {"inf", "k = 1", "size < k", "size = k > 1"}
 

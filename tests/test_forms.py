@@ -7,8 +7,6 @@ from conftest import random_separable_map
 
 from flatlab import (
     EllipticCurve,
-    INFINITY,
-    P1Point,
     Poly,
     RatFunc,
     TupleForm,
@@ -100,9 +98,9 @@ def test_pullback_inseparable_rejected():
 
 def test_ord_examples():
     w = form("1/t^4", 4, F5)
-    assert form_ord(w, P1Point(F5.zero)) == -4
-    assert form_ord(w, INFINITY) == -4
-    assert form_ord(form("1", 1, F5), INFINITY) == -2
+    assert form_ord(w, F5.zero) == -4
+    assert form_ord(w, None) == -4
+    assert form_ord(form("1", 1, F5), None) == -2
 
 
 def test_total_divisor_degree():
@@ -118,12 +116,12 @@ def test_total_divisor_degree():
         k = math.lcm(1, *(g.degree for g, _ in factors))
         ext = field_create(field.p, k) if k > 1 else field
         lifted = TupleForm(w.func.lift_to(ext), w.weight)
-        roots = {P1Point(a) for g, _ in factors for a, _ in poly_roots(g.lift_to(ext))}
+        roots = {a for g, _ in factors for a, _ in poly_roots(g.lift_to(ext))}
         assert len(roots) == sum(g.degree for g, _ in factors)
-        total = form_ord(lifted, INFINITY) + sum(form_ord(lifted, pt) for pt in roots)
+        total = form_ord(lifted, None) + sum(form_ord(lifted, pt) for pt in roots)
         assert total == -2 * w.weight
         for a in field.elements():
-            pt = P1Point(ext.lift(a))
+            pt = ext.lift(a)
             if pt not in roots:
                 assert form_ord(lifted, pt) == 0
 
@@ -132,7 +130,7 @@ def test_pullback_order_identity_smoke():
     # ord_B(pullback) + nu = e(B) (ord_A(omega) + nu) at a ramified point
     sig = parse_ratfunc("t^2", F7)
     w = form("t^3", 2, F7)
-    B = P1Point(F7.zero)
+    B = F7.zero
     A = p1_eval(sig, B)
     pulled = form_pullback(sig, w)
     assert form_ord(pulled, B) + 2 == ram_index(sig, B) * (form_ord(w, A) + 2)
@@ -357,7 +355,7 @@ def test_search_results_verified_and_degree_budgeted():
     w = out[0]
     assert invariance_check(parse_ratfunc("t^3", F7), w).invariant
     assert w.func.num.lc() == F7.one  # normalized numerator
-    assert (w.func.den.degree - w.func.num.degree) - 2 * 6 == form_ord(w, INFINITY)
+    assert (w.func.den.degree - w.func.num.degree) - 2 * 6 == form_ord(w, None)
 
 
 def test_search_weight_divisible_by_p_rejected():

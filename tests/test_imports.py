@@ -112,7 +112,7 @@ def vertex_decoder_uses(source):
 
 def test_checker_flags_a_vertex_decoder():
     src = textwrap.dedent("""\
-        from .dynamics import P1Point, point_key
+        from .dynamics import critical_locus, point_key
         from . import dynamics
         from .dynamics import (
             class_min_poly,

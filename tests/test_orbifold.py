@@ -13,8 +13,6 @@ from conftest import (
 )
 
 from flatlab import (
-    INFINITY,
-    P1Point,
     TupleForm,
     field_create,
     kummer_genus,
@@ -34,7 +32,7 @@ INF = MU_INFINITY
 
 
 def pt(field, a):
-    return P1Point(field.elem(a))
+    return field.elem(a)
 
 
 def mu_of(expr, field):
@@ -49,12 +47,12 @@ def mu_of(expr, field):
 def test_mu_power_map():
     g, mu = mu_of("t^2", F7)
     assert mu[pt(F7, 0)] == INF
-    assert mu[INFINITY] == INF
+    assert mu[None] == INF
 
 
 def test_mu_chebyshev():
     g, mu = mu_of("t^2-2", F7)
-    assert mu[INFINITY] == INF
+    assert mu[None] == INF
     assert mu[pt(F7, 5)] == 2
     assert mu[pt(F7, 2)] == 2
 
@@ -63,7 +61,7 @@ def test_mu_ramified_cycle():
     g, mu = mu_of("t^2+1", F5)
     for a in (0, 1, 2):
         assert mu[pt(F5, a)] == INF
-    assert mu[INFINITY] == INF
+    assert mu[None] == INF
 
 
 # ---------------------------------------------------------------- oracle equivalence
@@ -127,28 +125,26 @@ def test_mu_is_smallest_admissible(expr, p):
     field = field_create(p)
     sigma = parse_ratfunc(expr, field)
     g, mu = mu_of(expr, field)  # chosen instances split over F_p
-    post = sorted(postcritical_points(g), key=lambda v: (v.is_infinity,))
+    post = sorted(postcritical_points(g), key=lambda v: (v is None,))
 
     pre = {}
     for A in post:
         ext, _, items = preimages(sigma, A)
         entries = []
         for B, e in items:
-            if B.is_infinity:
-                key = INFINITY
+            if B is None:
+                key = None
+            elif any(B.coeffs[1:]):
+                key = "outside F_p"  # a preimage outside F_p: mu there is 1
             else:
-                coeffs = B.value.coeffs
-                if any(coeffs[1:]):
-                    key = None  # preimage outside F_p: mu there is 1
-                else:
-                    key = P1Point(field.elem(coeffs[0]))
+                key = field.elem(B.coeffs[0])
             entries.append((key, e))
         pre[A] = entries
 
     def admissible(candidate):
         for A in post:
             for key, e in pre[A]:
-                mu_b = candidate.get(key, 1) if key is not None else 1
+                mu_b = candidate.get(key, 1)
                 need = MU_INFINITY if mu_b == MU_INFINITY else mu_b * e
                 have = candidate.get(A, 1)
                 if need == MU_INFINITY:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from flatlab import (
 )
 import flatlab.ratfunc as ratfunc
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import (MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots, rational_roots,
+from flatlab.ratfunc import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots, rational_roots,
                              root_multiplicity)
 
 Q = rationals()
@@ -132,6 +133,22 @@ def test_parse_degree_bound():
         with pytest.raises(ParseError, match="past the parser's bound of 100000") as err:
             parse_ratfunc(text, field)
         assert err.value.pos == pos
+
+
+def test_parse_size_bound_over_q():
+    # over Q a product is checked against MAX_PARSE_BITS before it is built:
+    # 2^k * t has an estimated 2 (k + 3) bits
+    assert MAX_PARSE_BITS == 2 ** 21
+    assert parse_ratfunc("2^1048572*t", Q).num.coeff(1) == 2 ** 1048572
+    assert parse_ratfunc("(t+1)^1000", Q).num.coeff(500) == math.comb(1000, 500)
+    for text, pos in [("2^1048574*t", 9), ("2^9999999999*t^2+1", 2), ("(t+1)^60000", 6), ("1/(t^2+1)^2000", 10)]:
+        start = time.process_time()
+        with pytest.raises(ParseError, match="past the parser's bound of 2097152") as err:
+            parse_ratfunc(text, Q)
+        assert time.process_time() - start < 1
+        assert err.value.pos == pos
+    # over F_p coefficients are residues, so only the degree is bounded
+    assert parse_ratfunc("(t+1)^60000", F7).num.degree == 60000
 
 
 # The oracle: the same expression evaluated with RatFunc arithmetic, which
@@ -465,6 +482,55 @@ def _random_map_q(rng, max_deg):
             return RatFunc(num, den)
 
 
+# ---------------------------------------------------------------- gcd over Q
+
+def test_poly_gcd_over_q_matches_sympy():
+    # random pairs with and without a common factor; common factors with
+    # 100-bit coefficients take several primes of the modular gcd
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+
+    def rational_poly(degree, size):
+        coeffs = [Fraction(rng.randint(-size, size), rng.randint(1, 6)) for _ in range(degree)]
+        return Poly(Q, coeffs + [Fraction(rng.randint(1, size), rng.randint(1, 6))])
+
+    def to_sympy(f):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x, domain="QQ")
+
+    for trial in range(80):
+        a, b = rational_poly(rng.randrange(6), 50), rational_poly(rng.randrange(6), 50)
+        if trial % 2:
+            common = rational_poly(rng.randrange(1, 5), rng.choice([9, 10 ** 30]))
+            a, b = a * common, b * common
+        want = to_sympy(a).gcd(to_sympy(b)).monic()
+        assert poly_gcd(a, b) == Poly(Q, [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())])
+
+
+def test_int_gcd_survives_unlucky_primes(monkeypatch):
+    # mod 5, t and t + 5 share the root 0, and t (t + 1) and (t + 1) (t + 5)
+    # share two roots; 5t + 1 has no degree mod 5, so 5 is skipped there
+    monkeypatch.setattr(ratfunc, "_gcd_primes", lambda: iter([5, 7, 11, 13, 17, 19, 23]))
+    assert ratfunc._int_gcd([0, 1], [5, 1]) == [1]
+    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == [1, 1]
+    assert ratfunc._int_gcd([1, 5], [2, 11, 5]) == [1, 5]
+    # (2t + 3)(t - 1) and (2t + 3)(3t + 1): joined at leading coefficient 2
+    assert ratfunc._int_gcd([-3, 1, 2], [3, 11, 6]) == [3, 2]
+
+
+def test_parse_cancels_high_powers_over_q_quickly():
+    # Euclid on Fractions took 0.95 s for the exponent 20 and over a minute
+    # for 60
+    for text, want in [
+        ("(t^2+3*t+1)^60/(t^2+5)^60", (120, 120)),
+        ("(t^2+3*t+1)^60*(t-7)^3/((t^2+5)^60*(t-7)^2)", (121, 120)),
+    ]:
+        start = time.process_time()
+        f = parse_ratfunc(text, Q)
+        assert time.process_time() - start < 1
+        assert (f.num.degree, f.den.degree) == want
+
+
 # ---------------------------------------------------------------- prime-field layer
 
 def _to_sympy(f, sympy):
@@ -531,14 +597,14 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     # one F_p product loop: prime-field Poly products, division and
     # composition reach exactnum._gf_mul / _gf_divmod on whole coefficient
     # lists; over F_{p^k} these only see FFElem's length-k residue vectors,
-    # and over Q they are never called
+    # and over Q only poly_gcd's modular gcd calls them, mod primes near 2^61
     from flatlab import exactnum, forms, ratfunc
 
     calls = []
 
     def counted(fn):
         def wrapper(a, b, *rest):
-            calls.append((fn.__name__, len(a), len(b)))
+            calls.append((fn.__name__, len(a), len(b), rest[0]))
             return fn(a, b, *rest)
         return wrapper
 
@@ -552,7 +618,7 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     def longest(run):
         calls.clear()
         run()
-        return {name: max((max(la, lb) for n, la, lb in calls if n == name), default=0)
+        return {name: max((max(la, lb) for n, la, lb, _ in calls if n == name), default=0)
                 for name in names}
 
     rng = random.Random(23)
@@ -570,8 +636,10 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
         assert max(longest(run).values()) <= 2 * F25.k
 
     e = parse_ratfunc("(t^5+1/2*t)/(t^3-7)", Q)
-    for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den), lambda: e.compose(e)):
+    for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den)):
         assert longest(run) == dict.fromkeys(names, 0)
+    longest(lambda: e.compose(e))
+    assert calls and all(p > 2 ** 60 for *_, p in calls)
 
 
 def test_substitution_builds_no_powers_of_a_constant_denominator(monkeypatch):
