@@ -270,7 +270,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _integer_primitive(coeffs):
-    """The primitive integer multiple of a nonzero list of rationals."""
+    """The primitive integer multiple, by a positive factor, of a list of
+    rationals that are not all zero."""
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
@@ -1061,18 +1062,10 @@ def rational_roots(f: Poly):
 
 def _primitive_integer_pair(sigma):
     """(P, Q) integer coefficient lists with joint content 1; Q's leading
-    coefficient is L / g > 0, because sigma's denominator is monic."""
-    L = 1
-    for c in list(sigma.num.coeffs) + list(sigma.den.coeffs):
-        L = L * c.denominator // math.gcd(L, c.denominator)
-    np_ = [int(c * L) for c in sigma.num.coeffs]
-    dp = [int(c * L) for c in sigma.den.coeffs]
-    g = 0
-    for c in np_ + dp:
-        g = math.gcd(g, c)
-    np_ = [c // g for c in np_]
-    dp = [c // g for c in dp]
-    return np_, dp
+    coefficient is positive, because sigma's denominator is monic."""
+    n = len(sigma.num.coeffs)
+    both = _integer_primitive(sigma.num.coeffs + sigma.den.coeffs)
+    return both[:n], both[n:]
 
 
 def reduce_mod_p(sigma: RatFunc, p: int) -> RatFunc:
