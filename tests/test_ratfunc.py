@@ -23,8 +23,8 @@ from flatlab import (
 )
 import flatlab.ratfunc as ratfunc
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
-from flatlab.ratfunc import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots, rational_roots,
-                             root_multiplicity)
+from flatlab.ratfunc import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots,
+                             rational_roots, root_multiplicity)
 
 Q = rationals()
 F5 = field_create(5)
