@@ -44,17 +44,14 @@ def power_map(d: int, field: Field):
     """
     if abs(d) < 2:
         raise ValueError("power maps need |d| >= 2")
-    t = Poly.gen(field)
-    if d > 0:
-        sigma = RatFunc(t ** d)
-    else:
-        sigma = RatFunc(Poly.one(field), t ** (-d))
+    t = RatFunc.gen(field)
+    sigma = t ** d  # d < 0 goes through t.reciprocal()
     if field.is_rationals:
         return sigma
     p = field.p
     if d % p == 0:
         raise BadPrime(p, f"p divides d = {d}")
-    form = TupleForm(RatFunc(Poly.one(field), t ** (p - 1)), p - 1)
+    form = TupleForm(RatFunc(Poly.one(field), Poly.gen(field) ** (p - 1)), p - 1)
     return _certify("power", sigma, form, field.one)
 
 

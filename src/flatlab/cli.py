@@ -81,12 +81,9 @@ def _prime_worker(args):
         stage = "search"
         forms_found = []
         t0 = time.perf_counter()
-        # an invariant form forces a parabolic orbifold (weight reduction plus
-        # the genus dichotomy), so the search can only succeed when chi = 0
-        if data.chi == 0:
-            for weight in _weights_for(policy, p):
-                for form in invariant_search(sig_p, weight, data):
-                    forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
+        for weight in _weights_for(policy, p):
+            for form in invariant_search(sig_p, weight, data):
+                forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
         timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     except (FlatlabError, RuntimeError) as exc:
         report["reason"] = f"{stage}: {type(exc).__name__}: {exc}"
@@ -116,12 +113,18 @@ def _char0_report(sigma):
     return {"supported": True, **_orbifold_json(orbifold_data(graph))}
 
 
-def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8,
-                 char0=False, timings=False):
-    """The classification sweep; returns the full report dict."""
+def _parse_map(expr):
+    """The map over Q that expr names, of degree at least 2."""
     sigma = parse_ratfunc(expr, rationals())
     if sigma.degree < 2:
         raise DegreeTooSmall(f"degree {sigma.degree} < 2")
+    return sigma
+
+
+def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8,
+                 char0=False, timings=False):
+    """The classification sweep; returns the full report dict."""
+    sigma = _parse_map(expr)
     primes = [p for p in range(max(prime_min, 2), prime_max + 1) if is_prime(p)]
     worker_args = [(sigma, p, policy, timings) for p in primes]
     if jobs > 1:
@@ -206,6 +209,8 @@ def cmd_classify(args):
         raise ValueError(f"bad prime range {args.primes!r}; expected MIN..MAX") from None
     if pmin > pmax:
         raise ValueError(f"bad prime range {args.primes!r}; MIN is past MAX")
+    if not any(is_prime(p) for p in range(max(pmin, 2), pmax + 1)):
+        raise ValueError(f"bad prime range {args.primes!r}; it holds no prime")
     for option, value in (("--jobs", args.jobs), ("--min-good", args.min_good)):
         if value < 1:
             raise ValueError(f"bad {option} {value}; expected at least 1")
@@ -261,7 +266,7 @@ def cmd_verify(args):
 
 def cmd_construct(args):
     p = args.p
-    field = field_create(p) if p else rationals()
+    field = rationals() if p is None else field_create(p)
     out = {"family": args.family}
     if args.family == "power":
         if len(args.params) != 1:
@@ -316,7 +321,7 @@ def _cert_json(cert, var, p):
 
 
 def cmd_orbifold(args):
-    sigma = parse_ratfunc(args.expr, rationals())
+    sigma = _parse_map(args.expr)
     sig_p = reduce_mod_p(sigma, args.p)
     data = orbifold_data(postcritical_graph(sig_p))
     out = {

@@ -105,10 +105,8 @@ def ram_index(sigma: RatFunc, pt) -> int:
     t = RatFunc.gen(field)
     if pt is None:
         work = sigma.compose(t.reciprocal())
-    elif pt:
-        work = sigma.compose(RatFunc(Poly(field, (pt, 1))))
     else:
-        work = sigma
+        work = sigma.compose(RatFunc(Poly(field, (pt, 1))))
     if target is None:
         g = work.reciprocal()
     else:

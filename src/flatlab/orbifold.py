@@ -49,9 +49,10 @@ def mu_lcm(a, b):
     return math.lcm(a, b)
 
 
-def _rho(edges, start):
-    """(tail, cycle length) of the walk from start in a functional graph,
-    by Brent's cycle detection, which stores no vertex of the walk."""
+def _rho(edges, weights, start):
+    """(tail, cycle length, whether a weighted vertex lies on the cycle) of
+    the walk from start in a functional graph, by Brent's cycle detection,
+    which stores no vertex of the walk, and one lap of the cycle."""
     power = lam = 1
     tortoise, hare = start, edges[start]
     while tortoise != hare:
@@ -66,7 +67,11 @@ def _rho(edges, start):
     while tortoise != hare:
         tortoise, hare = edges[tortoise], edges[hare]
         tail += 1
-    return tail, lam
+    ramified = False
+    for _ in range(lam):
+        ramified = ramified or hare in weights
+        hare = edges[hare]
+    return tail, lam, ramified
 
 
 def mu_compute(graph: OrbitGraph) -> dict:
@@ -77,30 +82,22 @@ def mu_compute(graph: OrbitGraph) -> dict:
     when its points are periodic, the weights along a real cycle are the
     graph cycle's weights repeated, and a real walk C -> A meets the same
     classes with the same weights as the graph walk [C] -> [A].
+    A walk takes tail + lam steps: its last step re-enters the cycle, giving
+    mu = inf to a critical start on its own (ramified) cycle, or else a
+    contribution made before.
     """
     edges, weights = graph.edges, graph.weights
     mu = dict.fromkeys(edges, 1)  # sized once: 1 until a walk passes the vertex
     for crit in graph.critical:
         # the walk from crit passes tail vertices, then loops through lam
-        tail, lam = _rho(edges, crit)
-        v = crit
-        for _ in range(tail):
-            v = edges[v]
-        ramified_cycle = False
-        for _ in range(lam):
-            ramified_cycle = ramified_cycle or v in weights
-            v = edges[v]
+        tail, lam, ramified_cycle = _rho(edges, weights, crit)
         prod = weights[crit]  # the weight product of the walk's first i vertices
         v = crit
-        for i in range(1, tail + lam):
+        for i in range(1, tail + lam + 1):
             v = edges[v]
             contrib = MU_INFINITY if (ramified_cycle and i >= tail) else prod
             mu[v] = mu_lcm(mu[v], contrib)
             prod *= weights.get(v, 1)
-        if tail == 0:
-            # the walk first returns to its own start after one full loop
-            contrib = MU_INFINITY if ramified_cycle else prod
-            mu[crit] = mu_lcm(mu[crit], contrib)
     for crit in graph.critical:
         if mu[crit] == 1:
             del mu[crit]  # no critical orbit comes back to it

@@ -151,10 +151,7 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        if self._over_prime_field:
-            p = self.field.p
-            return Poly._make(self.field, [-c % p for c in self.coeffs])
-        return Poly._make(self.field, [-c for c in self.coeffs])
+        return self.scale(-1)
 
     def __mul__(self, other):
         o = self._check(other)
@@ -624,9 +621,9 @@ def _times(a, b):
 # Printing
 # ----------------------------------------------------------------------
 
-def _coeff_str(c, wrap=False):
+def _coeff_str(c):
     s = str(c)
-    if wrap and ("+" in s or "*" in s or " " in s):
+    if "+" in s or "*" in s or " " in s:
         return f"({s})"
     return s
 
@@ -642,11 +639,11 @@ def format_poly(f: Poly, var: str = "t") -> str:
         neg = isinstance(c, Fraction) and c < 0
         mag = -c if neg else c
         if i == 0:
-            body = _coeff_str(mag, wrap=True)
+            body = _coeff_str(mag)
         else:
             v = var if i == 1 else f"{var}^{i}"
             one = f.field.one
-            body = v if mag == one else f"{_coeff_str(mag, wrap=True)}*{v}"
+            body = v if mag == one else f"{_coeff_str(mag)}*{v}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -1016,7 +1013,7 @@ def rational_roots(f: Poly):
     """Rational roots with multiplicity of a nonzero polynomial over Q.
 
     Past the root 0, the roots are those of the squarefree part s, taken as
-    a primitive integer polynomial.  At a prime p not dividing its leading
+    a primitive integer polynomial (content 1: 2 + 4t is taken as 1 + 2t).  At a prime p not dividing its leading
     coefficient s_n where every root of s mod p is simple, each rational
     root u/w (u | s_0, w | s_n) is the Hensel lift of its residue, and
     s_n u/w is an integer of absolute value at most |s_0 s_n|; so lifting
@@ -1036,7 +1033,7 @@ def rational_roots(f: Poly):
         f = f // t ** v
     if f.degree < 1:
         return out
-    s, _ = _primitive_integer_pair(RatFunc(f // poly_gcd(f, f.derivative())))
+    s = _integer_primitive((f // poly_gcd(f, f.derivative())).coeffs)
     ds = [i * c for i, c in enumerate(s)][1:]
     for p in itertools.count(2):
         if is_prime(p) and s[-1] % p:

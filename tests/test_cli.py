@@ -255,11 +255,25 @@ def test_classify_huge_coefficients_are_a_parse_error(capsys, text):
     (["--jobs", "-1"], "bad --jobs -1; expected at least 1"),
     (["--min-good", "0"], "bad --min-good 0; expected at least 1"),
     (["--min-good", "-3"], "bad --min-good -3; expected at least 1"),
+    (["--primes", "24..28"], "bad prime range '24..28'; it holds no prime"),
 ])
 def test_classify_rejects_meaningless_ranges_and_counts(capsys, args, message):
-    # before, an empty range swept no prime (exit 2), and a count below 1
-    # ran one job or needed no good prime
+    # before, an empty range or one of composites swept no prime (exit 2),
+    # and a count below 1 ran one job or needed no good prime
     code, out, err = run(capsys, "classify", "t^2", *args)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "power", "2", "--p", "0"], "0 is not prime"),
+    (["orbifold", "t", "--p", "5"], "degree 1 < 2"),
+])
+def test_meaningless_inputs_are_usage_errors(capsys, argv, message):
+    # before, --p 0 built over Q (exit 0), and orbifold failed inside
+    # critical_locus where classify names the degree
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.strip() == f"error: {message}"

@@ -8,6 +8,7 @@ from flatlab.errors import DivisionByZero, FieldMismatch, NotPrime
 from flatlab import exactnum
 from flatlab.exactnum import (
     _KRONECKER_MIN_LEN,
+    _Z_KRONECKER_MIN_LEN,
     FFElem,
     _GFMatrix,
     _find_modulus,
@@ -223,6 +224,36 @@ def test_gf_mul_matches_schoolbook(p):
                 assert _gf_mul(a, b, p) == _schoolbook_mul(a, b, p), (la, lb)
         a = [p - 1] * la
         assert _gf_mul(a, a, p) == _schoolbook_mul(a, a, p), la
+
+
+@pytest.mark.parametrize("height", [1, 2 ** 7, 2 ** 63, 2 ** 300], ids=lambda h: f"2^{h.bit_length() - 1}")
+def test_gf_mul_over_z_matches_schoolbook(height):
+    # p = 0: signed int lists, lengths on both sides of the Z cut; slots of
+    # 1 and 8 bytes pack through array, 2^300 needs wider ones, and all-max
+    # operands of one sign reach the bound min(len) height^2 on either side,
+    # which for length 128 and heights 1 and 2^300 is a power of two that
+    # fills its slot's bytes: only the doubled bound keeps it below half
+    rng = random.Random(height)
+    cut = _Z_KRONECKER_MIN_LEN
+    lengths = [1, 2, cut - 1, cut, cut + 1, 64, 128, 300]
+
+    def oracle(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _gf_trim(out)
+
+    for la in lengths:
+        for lb in lengths:
+            a = [rng.randint(-height, height) for _ in range(la - 1)] + [rng.choice((-height, 1))]
+            b = [rng.randint(-height, height) for _ in range(lb - 1)] + [rng.choice((height, -1))]
+            assert _gf_mul(a, b, 0) == oracle(a, b), (la, lb)
+        for sign in (1, -1):
+            a = [sign * height] * la
+            assert _gf_mul(a, a, 0) == oracle(a, a), la
+            assert _gf_mul(a, [-sign * height] * la, 0) == oracle(a, [-sign * height] * la), la
+    assert _gf_mul([], [1, 2], 0) == []
 
 
 @pytest.mark.parametrize("p", [5, 97, 2 ** 61 - 1])

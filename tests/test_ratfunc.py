@@ -531,6 +531,17 @@ def test_parse_cancels_high_powers_over_q_quickly():
         assert (f.num.degree, f.den.degree) == want
 
 
+def test_parse_long_products_over_q_quickly():
+    # Z products ran the schoolbook loop: the exponent 5000 took 2.5 s and
+    # 20000 over 15 s; the repunit squares have coefficients up to e
+    for e, limit in [(20000, 1), (50000, 2)]:
+        start = time.process_time()
+        f = parse_ratfunc(f"((t^{e}-1)/(t-1))^2", Q)
+        assert time.process_time() - start < limit
+        assert f.den == Poly.one(Q) and f.num.degree == 2 * e - 2
+        assert [f.num.coeff(i) for i in (0, 1, e - 1, 2 * e - 2)] == [1, 2, e, 1]
+
+
 # ---------------------------------------------------------------- prime-field layer
 
 def _to_sympy(f, sympy):
