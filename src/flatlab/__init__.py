@@ -9,7 +9,6 @@ invariant differential forms mod p, and classify the map as flat
 from .exactnum import (
     Field,
     FFElem,
-    Rational,
     field_create,
     is_prime,
     mat_kernel,

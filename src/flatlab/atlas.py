@@ -1,12 +1,14 @@
 """Constructors for the flat families and their closed-form certificates.
 
-Power maps t^(+-d) carry the invariant form (dt/t)^(p-1); Chebyshev maps
-carry (dt)^(p-1) / (t^2-4)^((p-1)/2); Lattes maps (the order-2 quotient of
-multiplication by m on a short Weierstrass curve, built from x-only
-division polynomials) carry the weight-2 form (dx)^2 / (x^3 + a x + b),
-semi-invariant with lambda = m^2.  Every
-certificate is re-verified by exact pullback at construction time; a
-mismatch raises instead of warning.
+Power maps t^(+-d) carry the form (dt/t)^w with lambda = (+-d)^w, and
+Chebyshev maps +-Cheb_d carry (dt)^w / (t^2-4)^(w/2) with lambda = d^w,
+where w = p - 1 over F_p (so lambda = 1: the forms are invariant) and
+w = 1, resp. 2, over Q (the least weight of a semi-invariant form).
+Lattes maps (the order-2 quotient of multiplication by m on a short
+Weierstrass curve, built from x-only division polynomials) carry the
+weight-2 form (dx)^2 / (x^3 + a x + b), semi-invariant with lambda = m^2.
+Every certificate is re-verified by exact pullback at construction time;
+a mismatch raises instead of warning.
 """
 
 from __future__ import annotations
@@ -36,23 +38,20 @@ def _certify(family, sigma, form, lam):
     return FlatCertificate(family, sigma, form, lam)
 
 
-def power_map(d: int, field: Field):
-    """sigma = t^d (d <= -2 means 1/t^|d|).
+def power_map(d: int, field: Field) -> FlatCertificate:
+    """sigma = t^d (d <= -2 means 1/t^|d|), with its certificate.
 
-    Over F_p (p not dividing d) returns the certificate with the invariant
-    form (dt/t)^(p-1); over Q returns the bare map.
+    Over F_p (p not dividing d) the form is (dt/t)^(p-1), invariant; over
+    Q it is dt/t, semi-invariant with lambda = d.
     """
     if abs(d) < 2:
         raise ValueError("power maps need |d| >= 2")
-    t = RatFunc.gen(field)
-    sigma = t ** d  # d < 0 goes through t.reciprocal()
-    if field.is_rationals:
-        return sigma
-    p = field.p
-    if d % p == 0:
-        raise BadPrime(p, f"p divides d = {d}")
-    form = TupleForm(RatFunc(Poly.one(field), Poly.gen(field) ** (p - 1)), p - 1)
-    return _certify("power", sigma, form, field.one)
+    if field.p and d % field.p == 0:
+        raise BadPrime(field.p, f"p divides d = {d}")
+    w = field.p - 1 if field.p else 1
+    sigma = RatFunc.gen(field) ** d  # d < 0 goes through t.reciprocal()
+    form = TupleForm(RatFunc(Poly.one(field), Poly.gen(field) ** w), w)
+    return _certify("power", sigma, form, field.elem(d) ** w)
 
 
 def _cheb_recurrence(d: int, field: Field) -> Poly:
@@ -74,13 +73,14 @@ def _check_cheb_identity(cheb: Poly, d: int):
         raise IdentityCheckFailed(f"Cheb_{d} does not satisfy its defining identity")
 
 
-def chebyshev_poly(d: int, sign: int = 1, field: Field | None = None):
-    """The degree-d Chebyshev map, normalized by Cheb_d(t + 1/t) = t^d + t^(-d).
+def chebyshev_poly(d: int, sign: int = 1, field: Field | None = None) -> FlatCertificate:
+    """The degree-d Chebyshev map +-Cheb_d, normalized by
+    Cheb_d(t + 1/t) = t^d + t^(-d), with its certificate.
 
-    Over Q (field None or the rationals) returns the polynomial +-Cheb_d.
-    Over F_p (p odd, p not dividing d) returns the certificate whose
-    invariant form is (dt)^(p-1) / (t^2-4)^((p-1)/2).  The defining
-    identity is always re-checked symbolically.
+    Over F_p (p odd, p not dividing d) the form is
+    (dt)^(p-1) / (t^2-4)^((p-1)/2), invariant; over Q (field None or the
+    rationals) it is (dt)^2 / (t^2-4), semi-invariant with lambda = d^2.
+    The defining identity is always re-checked symbolically.
     """
     if d < 2:
         raise ValueError("chebyshev_poly needs d >= 2")
@@ -88,22 +88,17 @@ def chebyshev_poly(d: int, sign: int = 1, field: Field | None = None):
         raise ValueError("sign must be +1 or -1")
     if field is None:
         field = rationals()
-    if not field.is_rationals:
-        p = field.p
-        if p == 2:
-            raise BadPrime(p, "Chebyshev certificates need an odd prime")
-        if d % p == 0:
-            raise BadPrime(p, f"p divides d = {d}")
+    if field.p == 2:
+        raise BadPrime(2, "Chebyshev certificates need an odd prime")
+    if field.p and d % field.p == 0:
+        raise BadPrime(field.p, f"p divides d = {d}")
     cheb = _cheb_recurrence(d, field)
     _check_cheb_identity(cheb, d)
     signed = cheb if sign == 1 else -cheb
-    if field.is_rationals:
-        return signed
-    p = field.p
+    w = field.p - 1 if field.p else 2
     t = Poly.gen(field)
-    den = (t * t - 4) ** ((p - 1) // 2)
-    form = TupleForm(RatFunc(Poly.one(field), den), p - 1)
-    return _certify("chebyshev", RatFunc(signed), form, field.one)
+    form = TupleForm(RatFunc(Poly.one(field), (t * t - 4) ** (w // 2)), w)
+    return _certify("chebyshev", RatFunc(signed), form, field.elem(d) ** w)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BadPrime, DegreeTooSmall, FlatlabError, IrrationalCriticalPoints, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
-from .ratfunc import Poly, RatFunc, format_poly, format_ratfunc, parse_ratfunc, reduce_mod_p
+from .ratfunc import Poly, format_poly, format_ratfunc, parse_ratfunc, reduce_mod_p
 from .dynamics import postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
@@ -271,34 +271,19 @@ def cmd_construct(args):
     if args.family == "power":
         if len(args.params) != 1:
             raise ValueError("construct power needs one argument: d")
-        d = int(args.params[0])
-        made = atlas.power_map(d, field)
-        if isinstance(made, RatFunc):
-            out["sigma"] = format_ratfunc(made)
-            out["form_family"] = "(dt/t)^(p-1), invariant (lambda = 1) at every prime p not dividing d"
-        else:
-            out.update(_cert_json(made, var="t", p=p))
+        out.update(_cert_json(atlas.power_map(int(args.params[0]), field), var="t", p=p))
     elif args.family == "cheb":
         if len(args.params) != 1:
             raise ValueError("construct cheb needs one argument: d (negative d means -Cheb_|d|)")
         d = int(args.params[0])
-        sign = -1 if d < 0 else 1
-        made = atlas.chebyshev_poly(abs(d), sign, field)
-        if field.is_rationals:
-            out["sigma"] = format_ratfunc(RatFunc(made))
-            out["form_family"] = (
-                "(dt)^(p-1)/(t^2-4)^((p-1)/2), invariant (lambda = 1) at every odd prime p not dividing d"
-            )
-        else:
-            out.update(_cert_json(made, var="t", p=p))
+        out.update(_cert_json(atlas.chebyshev_poly(abs(d), -1 if d < 0 else 1, field), var="t", p=p))
     else:  # "lattes"; argparse enforces the choices
         if len(args.params) != 3:
             raise ValueError("construct lattes needs three arguments: a b m")
         a, b = Fraction(args.params[0]), Fraction(args.params[1])
         m = int(args.params[2])
         curve = atlas.EllipticCurve(field, field.elem(a), field.elem(b))
-        made = atlas.lattes_map(curve, m)
-        out.update(_cert_json(made, var="x", p=p))
+        out.update(_cert_json(atlas.lattes_map(curve, m), var="x", p=p))
         out["curve"] = f"y^2 = x^3 + {a}*x + {b}"
     if args.json:
         print(json.dumps(out, indent=2))

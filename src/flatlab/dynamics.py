@@ -266,7 +266,8 @@ class _ResidueWalk:
     D(a(x)) over Z, and one fixed matrix reduces them mod m and p (the
     inverse of D(a) comes from exactnum._gf_inv_mod).  A coefficient of
     N(a(x)) is at most (d + 1)(p - 1)(k (p - 1))^d, so the slots never
-    overflow.  F_p itself is F_p[x]/(x).  canon maps a point to its class:
+    overflow.  F_p itself is F_p[x]/(x).  sigma(infinity) is p1_eval's,
+    lifted into F_{p^k}.  canon maps a point to its class:
     the Frobenius is F_p-linear, so one stacked matrix of its powers gives
     every conjugate of a point at once.
     """
@@ -278,12 +279,8 @@ class _ResidueWalk:
         self.p, self.k, self.inf = p, k, field.order
         self.modulus = modulus = list(field.modulus) if k > 1 else [0, 1]
         self.num, self.den = list(sigma.num.coeffs), list(sigma.den.coeffs)
-        if len(self.num) > len(self.den):
-            self.at_inf = self.inf
-        elif len(self.num) < len(self.den):
-            self.at_inf = 0
-        else:
-            self.at_inf = self.num[-1] * pow(self.den[-1], -1, p) % p * p ** (k - 1)
+        at_inf = p1_eval(sigma, None)
+        self.at_inf = self.inf if at_inf is None else vertex_key(field, field.lift(at_inf))
         # a coefficient of N(a(x)) over Z is at most
         # (d + 1)(p - 1)(k (p - 1))^d; there are d (k - 1) + 1 of them
         d = max(len(self.num), len(self.den)) - 1

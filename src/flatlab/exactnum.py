@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime
 
-Rational = Fraction
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -224,9 +224,7 @@ def kummer_genus(omega) -> KummerCover:
         orders.append((g.degree, m))
     for g, m in poly_factor(f.den):
         orders.append((g.degree, -m))
-    ord_inf = f.den.degree - f.num.degree
-    if ord_inf:
-        orders.append((1, ord_inf))
+    orders.append((1, f.den.degree - f.num.degree))  # at infinity; order 0 adds nothing
     g0 = 0
     for _, o in orders:
         g0 = math.gcd(g0, o)

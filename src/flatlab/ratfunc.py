@@ -160,8 +160,6 @@ class Poly:
         a, b = self.coeffs, o.coeffs
         if self._over_prime_field:
             return Poly._make(self.field, _gf_mul(a, b, self.field.p))
-        if not a or not b:
-            return Poly.zero(self.field)
         zero = self.field.zero
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -542,8 +540,6 @@ class RatFunc:
         return o.compose(self.compose(phi_inv))
 
     def lift_to(self, ext):
-        if ext == self.field:
-            return self
         return RatFunc(self.num.lift_to(ext), self.den.lift_to(ext))
 
     def __eq__(self, other):

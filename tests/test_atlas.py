@@ -6,11 +6,12 @@ from conftest import ec_mul, ec_points
 
 from flatlab import (
     EllipticCurve,
-    RatFunc,
+    TupleForm,
     chebyshev_poly,
     ec_mul_x,
     field_create,
     form_power,
+    format_ratfunc,
     invariance_check,
     lattes_map,
     orbifold_data,
@@ -48,8 +49,8 @@ def test_power_map_bad_prime():
 
 
 def test_power_map_over_q():
-    assert power_map(3, Q) == parse_ratfunc("t^3", Q)
-    assert power_map(-2, Q) == parse_ratfunc("1/t^2", Q)
+    assert power_map(3, Q).sigma == parse_ratfunc("t^3", Q)
+    assert power_map(-2, Q).sigma == parse_ratfunc("1/t^2", Q)
 
 
 def test_power_certificates_all_good_primes():
@@ -64,17 +65,17 @@ def test_power_certificates_all_good_primes():
 # ---------------------------------------------------------------- chebyshev
 
 def test_chebyshev_small_degrees():
-    assert str(chebyshev_poly(2)) == "t^2 - 2"
-    assert str(chebyshev_poly(3)) == "t^3 - 3*t"
-    assert str(chebyshev_poly(4)) == "t^4 - 4*t^2 + 2"
-    assert str(chebyshev_poly(3, sign=-1)) == "-t^3 + 3*t"
+    assert str(chebyshev_poly(2).sigma) == "t^2 - 2"
+    assert str(chebyshev_poly(3).sigma) == "t^3 - 3*t"
+    assert str(chebyshev_poly(4).sigma) == "t^4 - 4*t^2 + 2"
+    assert str(chebyshev_poly(3, sign=-1).sigma) == "-t^3 + 3*t"
 
 
 def test_chebyshev_defining_identity():
     # Cheb_d(t + 1/t) = t^d + t^(-d), symbolically over Q for d <= 8
     t_plus = parse_ratfunc("t + 1/t", Q)
     for d in range(2, 9):
-        cheb = RatFunc(chebyshev_poly(d))
+        cheb = chebyshev_poly(d).sigma
         lhs = cheb.compose(t_plus)
         rhs = parse_ratfunc(f"(t^{2 * d} + 1)/t^{d}", Q)
         assert lhs == rhs
@@ -82,9 +83,9 @@ def test_chebyshev_defining_identity():
 
 def test_chebyshev_composition_law():
     for d, e in [(2, 2), (2, 3), (3, 2), (2, 4)]:
-        cd = RatFunc(chebyshev_poly(d))
-        ce = RatFunc(chebyshev_poly(e))
-        cde = RatFunc(chebyshev_poly(d * e))
+        cd = chebyshev_poly(d).sigma
+        ce = chebyshev_poly(e).sigma
+        cde = chebyshev_poly(d * e).sigma
         assert cd.compose(ce) == cde
 
 
@@ -102,6 +103,25 @@ def test_chebyshev_bad_primes():
         chebyshev_poly(5, 1, field_create(5))
     with pytest.raises(BadPrime):
         chebyshev_poly(2, 1, field_create(2))
+
+
+def test_q_certificates_reduce_to_the_mod_p_ones():
+    # over Q, t^d carries dt/t (weight 1) and +-Cheb_d carries
+    # (dt)^2/(t^2-4) (weight 2), with lambda = d^w; raised to the power
+    # (p - 1)/w and reduced mod p, the form is the F_p certificate's, and
+    # lambda^((p-1)/w) is 1 mod p
+    cases = [(power_map, d, (d,), "1/t", 1) for d in (2, 3, -2, -3)]
+    cases += [(chebyshev_poly, d, (d, sign), "1/(t^2-4)", 2) for d in (2, 3, 4) for sign in (1, -1)]
+    for make, d, args, func, w in cases:
+        over_q = make(*args, Q)
+        assert over_q.form == TupleForm(parse_ratfunc(func, Q), w)
+        assert over_q.lam == d ** w
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):  # none divides d
+            F = field_create(p)
+            raised = form_power(over_q.form, (p - 1) // w)
+            reduced = TupleForm(parse_ratfunc(format_ratfunc(raised.func), F), raised.weight)
+            assert reduced == make(*args, F).form
+            assert pow(int(over_q.lam), (p - 1) // w, p) == 1
 
 
 # ---------------------------------------------------------------- elliptic curves

@@ -329,8 +329,10 @@ def test_verify_bad_prime(capsys):
 def test_construct_cheb(capsys):
     code, out, _ = run(capsys, "construct", "cheb", "3")
     assert code == 0
-    assert "t^3 - 3*t" in out
-    assert "(dt)^(p-1)/(t^2-4)^((p-1)/2)" in out
+    assert "sigma: t^3 - 3*t" in out
+    assert "form: 1/(t^2 - 4)" in out
+    assert "weight: 2" in out
+    assert "lambda: 9" in out
 
 
 def test_construct_power_mod_p(capsys):

@@ -257,11 +257,13 @@ def test_graph_cycle():
 
 @pytest.mark.parametrize("expr,p,k", [
     ("(t^4+t+1)/(t^2+3)", 5, 4), ("t^6+t^5+2*t+3", 1009, 2), ("1/t^2", 7, 1), ("(t^3+2)/(t^2+1)", 11, 3),
+    ("(2*t^2+1)/(t^2+3)", 7, 3),
 ])
 def test_residue_walk_matches_p1_eval(expr, p, k):
     # sigma on packed points against FFElem evaluation, and each point's
     # class against its Frobenius conjugates; at p = 1009 the Kronecker
-    # slots are wider than 8 bytes
+    # slots are wider than 8 bytes, and the last map sends infinity to the
+    # ratio of leading coefficients, 2, a point of F_7 packed into F_{7^3}
     ext = field_create(p, k)
     sigma = parse_ratfunc(expr, field_create(p))
     walk = _ResidueWalk(sigma, ext)

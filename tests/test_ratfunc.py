@@ -516,6 +516,9 @@ def test_int_gcd_survives_unlucky_primes(monkeypatch):
     assert ratfunc._int_gcd([1, 5], [2, 11, 5]) == [1, 5]
     # (2t + 3)(t - 1) and (2t + 3)(3t + 1): joined at leading coefficient 2
     assert ratfunc._int_gcd([-3, 1, 2], [3, 11, 6]) == [3, 2]
+    # a lucky prime first: the unlucky 5 then gives a longer gcd, and is skipped
+    monkeypatch.setattr(ratfunc, "_gcd_primes", lambda: iter([7, 5, 11, 13, 17, 19, 23]))
+    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == [1, 1]
 
 
 def test_parse_cancels_high_powers_over_q_quickly():
