@@ -5,8 +5,10 @@ A point of P^1 over a field k is an element of k, or None for the point at
 infinity; test for infinity with `is None`, since the point 0 is falsy.
 The critical locus is the set of roots of the Wronskian W = P'Q - PQ',
 taken first in the base field.  Over F_p the irreducible factors of W that
-those roots leave are split in one extension F_{p^k} (k = lcm of their
-degrees); forward orbits stay inside that extension because the map has
+those roots leave have their roots in one extension F_{p^k} (k = lcm of
+their degrees): one root of each factor g is found by Cantor-Zassenhaus in
+F_p[x, y]/(m, g) on int residue lists, and the others are its Frobenius
+conjugates.  Forward orbits stay inside that extension because the map has
 prime-field coefficients.  Over Q the critical points must all be rational,
 and the orbits are walked with a height bound.
 
@@ -48,12 +50,13 @@ from .exactnum import (
     _gf_trim,
     _kron_pack,
     _kron_unpack,
+    _power,
     _slot_bytes,
     _to_digits,
     field_create,
     mat_kernel,
 )
-from .ratfunc import (Poly, RatFunc, _edf, _primitive_integer_pair, poly_factor, poly_roots,
+from .ratfunc import (Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_gcd, poly_roots,
                       rational_roots, root_multiplicity)
 
 
@@ -149,11 +152,12 @@ def critical_locus(sigma: RatFunc):
     Returns (field, [CriticalDatum...]) sorted by point.  The base-field
     roots of the Wronskian W come first; when they account for deg W, field
     is Q or F_p.  Otherwise Q raises IrrationalCriticalPoints, and each
-    factor g^m of W irreducible over F_p of degree > 1 is split in F_{p^k},
-    k the lcm of those degrees, by equal-degree splitting alone (g is
-    squarefree with all its roots there, each a root of W of multiplicity
-    m).  _critical_data reads e = m + 1 at a root, e(inf) = 2d - 1 - deg W
-    at infinity; ram_index, kept public, is the tests' oracle for them.
+    factor g^m of W irreducible over F_p of degree e > 1 has its e roots in
+    F_{p^k}, k the lcm of those degrees, each a root of W of multiplicity
+    m: _extension_roots finds one by Cantor-Zassenhaus on int residues and
+    takes its Frobenius conjugates for the rest.  _critical_data reads
+    e = m + 1 at a root, e(inf) = 2d - 1 - deg W at infinity; ram_index,
+    kept public, is the tests' oracle for them.
     """
     field = sigma.field
     if field.k != 1:
@@ -175,8 +179,60 @@ def critical_locus(sigma: RatFunc):
     ext = field_create(field.p, math.lcm(*(g.degree for g, _ in rest)))
     roots = [(ext.lift(a), m) for a, m in roots]
     for g, m in rest:
-        roots += [(-h.coeff(0), m) for h in _edf(g.lift_to(ext), 1, random.Random(0))]
+        roots += [(a, m) for a in _extension_roots(g, ext)]
     return ext, _critical_data(d, wron, roots)
+
+
+def _extension_roots(g, ext):
+    """The e roots in ext = F_{p^k}, p odd, of a monic irreducible g over
+    F_p of degree e dividing k.
+
+    One root is found by Cantor and Zassenhaus (1981) in
+    A = F_p[x, y]/(m(x), g(y)) = F_{p^k}[y]/(g), m the modulus of ext: for a
+    random r in A, s = r^((p^k - 1)/2) is 0 or +-1 at each root of g, so
+    h <- gcd(h, s - 1), from h = g, narrows h until it is linear.  The
+    other roots are its Frobenius conjugates a^(p^i).  An element of A is a
+    residue list of length k e, block j holding the x-residues of y^j.  A
+    product is one 2-D Kronecker product, x-slots 2k - 1 wide in each
+    y-block, reduced mod g by the columns y^j mod g and then mod m, block
+    by block, through one _GFMatrix.  Its slots hold e k (p - 1)^2 before
+    the reduction mod g and (2e - 1)(p - 1) times that after it.
+    """
+    p, k, e = ext.p, ext.k, g.degree
+    by_g = _power_columns([0, 1], 2 * e - 1, list(g.coeffs), p)
+    reduce = _reducer(list(ext.modulus), p, 2 * k - 1, (2 * e - 1) * e * k * (p - 1) ** 3)
+    shift = 8 * reduce.size * (2 * k - 1)
+    mask = (1 << shift) - 1
+    pad = [0] * (k - 1)
+
+    def pack(a):
+        spread = []
+        for j in range(0, k * e, k):
+            spread += a[j:j + k] + pad
+        return reduce.pack(spread)
+
+    def mul(a, b):
+        x = pack(a)
+        x *= x if a is b else pack(b)
+        blocks = [(x >> j * shift) & mask for j in range(2 * e - 1)]
+        out = []
+        for row in by_g:
+            out += reduce(sum(c * block for c, block in zip(row, blocks) if c))
+        return out
+
+    rng = random.Random(0)
+    one = [1] + [0] * (k * e - 1)
+    h = g.lift_to(ext)
+    while h.degree > 1:
+        s = _power([rng.randrange(p) for _ in range(k * e)], (ext.order - 1) // 2, one, mul)
+        s[0] = (s[0] - 1) % p
+        t = poly_gcd(h, Poly(ext, [FFElem(ext, tuple(s[j:j + k])) for j in range(0, k * e, k)]))
+        if t.degree > 0:
+            h = t
+    roots = [-h.coeff(0)]
+    for _ in range(e - 1):
+        roots.append(roots[-1] ** p)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -287,7 +343,7 @@ class _ResidueWalk:
         self.width = d * (k - 1) + 1  # >= 2k - 1, the length of a product
         self.size = _slot_bytes((d + 1) * (p - 1) * (k * (p - 1)) ** d)
         # applied to residue lists and to products of two, entries <= k (p - 1)^2
-        self.reduce = _GFMatrix(_power_columns([0, 1], self.width, modulus, p), p, k * (p - 1) ** 2)
+        self.reduce = _reducer(modulus, p, self.width, k * (p - 1) ** 2)
         if k > 1:
             # block i = 1..k-1 is (x -> x^p)^i: column j is g^j mod m, g = x^(p^i)
             rows, g = [], [0, 1]
@@ -336,6 +392,12 @@ def _power_columns(g, n, modulus, p):
     for _ in range(n - 1):
         cols.append(_gf_divmod(_gf_mul(cols[-1], g, p), modulus, p)[1])
     return [[c[i] if i < len(c) else 0 for c in cols] for i in range(len(modulus) - 1)]
+
+
+def _reducer(modulus, p, width, bound):
+    """The _GFMatrix that reduces a residue list of up to width entries,
+    each at most bound, mod modulus: its columns are x^j mod modulus."""
+    return _GFMatrix(_power_columns([0, 1], width, modulus, p), p, bound)
 
 
 class _RationalWalk:

@@ -258,7 +258,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a._over_prime_field:
         return Poly._make(a.field, _gf_gcd(a.coeffs, b.coeffs, a.field.p))
     if a.field.is_rationals and not (a.is_zero or b.is_zero):
-        return Poly(a.field, _int_gcd(_integer_primitive(a.coeffs), _integer_primitive(b.coeffs))).monic()
+        return Poly(a.field, _int_gcd(_integer_primitive(a.coeffs), _integer_primitive(b.coeffs))[0]).monic()
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -307,8 +307,9 @@ def _int_quotient(a, h, bound):
 
 
 def _int_gcd(a, b):
-    """The gcd over Q of two nonzero primitive int lists, as a primitive int
-    list (constant first) with a positive leading coefficient.
+    """(h, a / h, b / h) for h the gcd over Q of two nonzero primitive int
+    lists, as a primitive int list (constant first) with a positive leading
+    coefficient; the cofactors are exact over Z by Gauss's lemma.
 
     Modular (von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
     At a prime p dividing neither leading coefficient the gcd over Q
@@ -319,8 +320,9 @@ def _int_gcd(a, b):
     remainder theorem.  Once the modulus passes 2 c times Mignotte's bound,
     or the joined coefficients stop changing, the primitive part h is
     tried: h is the gcd when it divides a and b, since it then divides the
-    gcd and its degree is at least the gcd's.  Trial division stops at
-    Mignotte's bound, so every step is bounded.
+    gcd and its degree is at least the gcd's, and the trial divisions give
+    the cofactors.  Trial division stops at Mignotte's bound, so every step
+    is bounded.
     """
     c = math.gcd(a[-1], b[-1])
     joined = None
@@ -329,7 +331,7 @@ def _int_gcd(a, b):
             continue
         g = _gf_gcd([x % p for x in a], [x % p for x in b], p)
         if len(g) == 1:
-            return [1]
+            return [1], a, b
         if joined is None or len(g) < len(joined):
             modulus, joined = 1, [0] * len(g)  # every earlier prime was unlucky
             bound_a, bound_b = _factor_bound(a), _factor_bound(b)
@@ -347,8 +349,9 @@ def _int_gcd(a, b):
             h = [x // content for x in joined]
             if h[-1] < 0:
                 h = [-x for x in h]
-            if _int_quotient(a, h, bound_a) is not None and _int_quotient(b, h, bound_b) is not None:
-                return h
+            qa, qb = _int_quotient(a, h, bound_a), _int_quotient(b, h, bound_b)
+            if qa is not None and qb is not None:
+                return h, qa, qb
 
 
 def root_multiplicity(f: Poly, a) -> int:
@@ -369,6 +372,24 @@ def root_multiplicity(f: Poly, a) -> int:
 # Rational functions
 # ----------------------------------------------------------------------
 
+def _lowest_terms(num, den):
+    """num / g and den / g for g = gcd(num, den).  Over Q they are the
+    cofactors of the primitive integer lists that _int_gcd returns, den's
+    made monic; num's then has leading coefficient lc(num) / lc(den), since
+    a common factor leaves that ratio.  Dividing on Fractions would cost a
+    Fraction product per step."""
+    field = num.field
+    if not field.is_rationals:
+        g = poly_gcd(num, den)
+        return (num // g, den // g) if g.degree > 0 else (num, den)
+    h, a, b = _int_gcd(_integer_primitive(num.coeffs), _integer_primitive(den.coeffs))
+    if len(h) == 1:
+        return num, den
+    c = num.lc() / den.lc() / a[-1]
+    n, d = c.numerator, c.denominator
+    return Poly._make(field, [Fraction(x * n, d) for x in a]), Poly._make(field, [Fraction(x, b[-1]) for x in b])
+
+
 class RatFunc:
     """Rational function in canonical form: gcd(num, den) = 1, den monic."""
 
@@ -387,10 +408,7 @@ class RatFunc:
             den = Poly.one(num.field)
         else:
             if den.degree > 0:  # a constant den has gcd 1 with num
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
+                num, den = _lowest_terms(num, den)
             lc = den.lc()
             if lc != den.field.one:
                 inv = den.field.one / lc

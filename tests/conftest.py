@@ -173,6 +173,17 @@ def preimages(sigma, A):
     return ext, sig, [(pt, ram_index(sig, pt)) for pt in pts]
 
 
+def critical_points(sigma, ext):
+    """{point: e} over the critical points of a map over F_p inside ext:
+    the roots of the Wronskian by poly_roots's full split over ext, and
+    infinity when ram_index puts e > 1 there; every e is ram_index's."""
+    sig = sigma.lift_to(ext)
+    pts = [root for root, _ in poly_roots(sigma.wronskian().lift_to(ext))]
+    if ram_index(sig, None) > 1:
+        pts.append(None)
+    return {pt: ram_index(sig, pt) for pt in pts}
+
+
 # ----------------------------------------------------------------------
 # Affine elliptic-curve group law over F_p (independent of the atlas code)
 # ----------------------------------------------------------------------

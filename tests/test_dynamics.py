@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import frobenius_class, lattes_expr, postcritical_points, preimages, random_separable_map
+from conftest import (critical_points, frobenius_class, lattes_expr, postcritical_points, preimages,
+                      random_separable_map)
 
 from flatlab import (
     FFElem,
@@ -16,11 +17,13 @@ from flatlab import (
     parse_ratfunc,
     poly_factor,
     poly_is_irreducible,
+    poly_roots,
     postcritical_graph,
     ram_index,
     rationals,
 )
-from flatlab.dynamics import _ResidueWalk, class_min_poly, point_key, vertex_key, vertex_point
+import flatlab.ratfunc as ratfunc
+from flatlab.dynamics import _extension_roots, _ResidueWalk, class_min_poly, point_key, vertex_key, vertex_point
 from flatlab.errors import BadCharacteristic, Inseparable, IrrationalCriticalPoints, OrbitBoundExceeded
 
 F5 = field_create(5)
@@ -148,10 +151,51 @@ def test_postcritical_graph_over_q_stops_a_wandering_orbit():
 
 
 def test_critical_locus_extension_field():
-    # 3t^2 + 1 has no root mod 5, so the critical points live in F_25
-    ext, data = critical_locus(parse_ratfunc("t^3+t+1", F5))
-    assert ext.order == 25
-    assert sum(c.e - 1 for c in data) == 4
+    # (map, p, degrees of W's factors, k): mixed degrees, a lone factor of
+    # degree 5, and the smallest characteristic
+    cases = [
+        ("t^3+t+1", 5, [2], 2),  # 3t^2 + 1 has no root mod 5
+        ("t^6+t^5+2*t+3", 19, [2, 3], 6),
+        ("(t^4+t+1)/(t^2+3)", 47, [5], 5),  # and infinity, e = 2
+        ("(t^2+2)/t", 3, [2], 2),  # W = t^2 + 1
+    ]
+    for expr, p, degrees, k in cases:
+        sigma = parse_ratfunc(expr, field_create(p))
+        assert sorted(g.degree for g, _ in poly_factor(sigma.wronskian())) == degrees, expr
+        ext, data = critical_locus(sigma)
+        assert ext.k == k, expr
+        oracle = critical_points(sigma, ext)
+        assert {c.point: c.e for c in data} == oracle and len(data) == len(oracle), expr
+        assert sum(c.e - 1 for c in data) == 2 * sigma.degree - 2, expr
+
+
+def test_extension_roots_against_full_split():
+    # one root by Cantor-Zassenhaus in F_p[x, y]/(m, g) and its Frobenius
+    # conjugates against poly_roots's full split of g over F_{p^k}
+    rng = random.Random(40)
+    for p in (3, 5, 7, 31, 47):
+        F = field_create(p)
+        for e in range(2, 7):
+            for k in (e, 2 * e):
+                if k > 6:
+                    continue
+                ext = field_create(p, k)
+                g = Poly(F, [rng.randrange(p) for _ in range(e)] + [1])
+                while not poly_is_irreducible(g):
+                    g = Poly(F, [rng.randrange(p) for _ in range(e)] + [1])
+                roots = [a.coeffs for a in _extension_roots(g, ext)]
+                assert len(set(roots)) == e, (p, k, g)
+                assert sorted(roots) == sorted(a.coeffs for a, _ in poly_roots(g.lift_to(ext))), (p, k, g)
+
+
+def test_extension_roots_take_no_powmod_over_the_extension(monkeypatch):
+    calls = []
+    powmod = ratfunc._poly_powmod
+    monkeypatch.setattr(ratfunc, "_poly_powmod",
+                        lambda base, e, mod: calls.append(base.field.k) or powmod(base, e, mod))
+    ext, _ = critical_locus(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(47)))
+    assert ext.k == 5
+    assert calls and all(k == 1 for k in calls)
 
 
 def test_riemann_hurwitz_budget_random():

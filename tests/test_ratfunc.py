@@ -230,9 +230,10 @@ def test_parse_edge_cases():
 
 
 def test_parse_canonicalizes_once(monkeypatch):
+    # over Q every gcd, the constructor's and poly_gcd's, is one _int_gcd
     calls = []
-    gcd = ratfunc.poly_gcd
-    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    gcd = ratfunc._int_gcd
+    monkeypatch.setattr(ratfunc, "_int_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     # the benchmark's seed-1 conjugate of t^6 + 3*t^2 + 1
     parse_ratfunc("-t^6 + 12*t^5 - 60*t^4 + 160*t^3 - 243*t^2 + 204*t - 75", Q)
     assert len(calls) == 0
@@ -507,18 +508,38 @@ def test_poly_gcd_over_q_matches_sympy():
         assert poly_gcd(a, b) == Poly(Q, [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())])
 
 
+def test_lowest_terms_over_q_matches_fraction_division():
+    # the constructor divides primitive integer lists by their gcd over Z;
+    # the oracle divides the Fraction polynomials by their monic gcd
+    rng = random.Random(53)
+
+    def rational_poly(degree, size):
+        return Poly(Q, [Fraction(rng.randint(-size, size), rng.randint(1, 6)) for _ in range(degree)]
+                    + [Fraction(rng.choice([-1, 1]) * rng.randint(1, size), rng.randint(1, 6))])
+
+    for trial in range(60):
+        num, den = rational_poly(rng.randrange(5), 40), rational_poly(rng.randrange(1, 5), 40)
+        if trial % 3:
+            common = rational_poly(rng.randrange(1, 4), rng.choice([9, 10 ** 20]))
+            num, den = num * common, den * common
+        g = poly_gcd(num, den)
+        n, d = num // g, den // g
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == (n.scale(1 / d.lc()), d.monic()), (num, den)
+
+
 def test_int_gcd_survives_unlucky_primes(monkeypatch):
     # mod 5, t and t + 5 share the root 0, and t (t + 1) and (t + 1) (t + 5)
     # share two roots; 5t + 1 has no degree mod 5, so 5 is skipped there
     monkeypatch.setattr(ratfunc, "_gcd_primes", lambda: iter([5, 7, 11, 13, 17, 19, 23]))
-    assert ratfunc._int_gcd([0, 1], [5, 1]) == [1]
-    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == [1, 1]
-    assert ratfunc._int_gcd([1, 5], [2, 11, 5]) == [1, 5]
+    assert ratfunc._int_gcd([0, 1], [5, 1]) == ([1], [0, 1], [5, 1])
+    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == ([1, 1], [0, 1], [5, 1])
+    assert ratfunc._int_gcd([1, 5], [2, 11, 5]) == ([1, 5], [1], [2, 1])
     # (2t + 3)(t - 1) and (2t + 3)(3t + 1): joined at leading coefficient 2
-    assert ratfunc._int_gcd([-3, 1, 2], [3, 11, 6]) == [3, 2]
+    assert ratfunc._int_gcd([-3, 1, 2], [3, 11, 6]) == ([3, 2], [-1, 1], [1, 3])
     # a lucky prime first: the unlucky 5 then gives a longer gcd, and is skipped
     monkeypatch.setattr(ratfunc, "_gcd_primes", lambda: iter([7, 5, 11, 13, 17, 19, 23]))
-    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == [1, 1]
+    assert ratfunc._int_gcd([0, 1, 1], [5, 6, 1]) == ([1, 1], [0, 1], [5, 1])
 
 
 def test_parse_cancels_high_powers_over_q_quickly():
