@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadPrime, DegreeTooSmall, FlatlabError, IrrationalCriticalPoints, OrbitBoundExceeded
 from .exactnum import field_create, is_prime, rationals
-from .ratfunc import Poly, format_poly, format_ratfunc, parse_ratfunc, reduce_mod_p
+from .ratfunc import MAX_PARSE_DEGREE, Poly, format_poly, format_ratfunc, parse_ratfunc, reduce_mod_p
 from .dynamics import postcritical_graph
 from .orbifold import MU_INFINITY, PARABOLIC_SIGNATURES, mu_compute, orbifold_data, parabolic_signature
 from .forms import TupleForm, form_pullback, invariance_check, invariant_search
@@ -34,14 +35,6 @@ USAGE_EXIT = 3
 
 def _mu_json(m):
     return "inf" if m == MU_INFINITY else m
-
-
-def _weights_for(policy, p):
-    if policy == "fermat":
-        return [p - 1]
-    if policy == "none":
-        return []
-    return [w for w in policy if w % p != 0]
 
 
 def _signature_json(sig_res):
@@ -56,7 +49,7 @@ def _prime_worker(args):
     for this prime, as "<stage>: <type>: <message>" under "reason", and
     the prime counts as bad, so the sweep goes on.
     """
-    sigma, p, policy, want_timings = args
+    sigma, p, want_timings = args
     report = {"p": p, "good": False}
     timings = {}
     stage = "reduce"
@@ -79,11 +72,9 @@ def _prime_worker(args):
         timings["orbifold_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 
         stage = "search"
-        forms_found = []
         t0 = time.perf_counter()
-        for weight in _weights_for(policy, p):
-            for form in invariant_search(sig_p, weight, data):
-                forms_found.append({"weight": weight, "f": format_ratfunc(form.func)})
+        forms = invariant_search(sig_p, p - 1, data)
+        forms_found = [{"weight": p - 1, "f": format_ratfunc(form.func)} for form in forms]
         timings["search_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     except (FlatlabError, RuntimeError) as exc:
         report["reason"] = f"{stage}: {type(exc).__name__}: {exc}"
@@ -121,14 +112,18 @@ def _parse_map(expr):
     return sigma
 
 
-def run_classify(expr, prime_min, prime_max, policy="fermat", jobs=1, min_good=8,
-                 char0=False, timings=False):
-    """The classification sweep; returns the full report dict."""
+def run_classify(expr, prime_min, prime_max, jobs=1, min_good=8, char0=False, timings=False):
+    """The classification sweep; returns the full report dict.
+
+    Each good prime is searched at weight p - 1.  At most jobs worker
+    processes run, and no more than there are primes or CPUs.
+    """
     sigma = _parse_map(expr)
     primes = [p for p in range(max(prime_min, 2), prime_max + 1) if is_prime(p)]
-    worker_args = [(sigma, p, policy, timings) for p in primes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    worker_args = [(sigma, p, timings) for p in primes]
+    workers = min(jobs, len(primes), os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             prime_reports = list(pool.map(_prime_worker, worker_args))
     else:
         prime_reports = [_prime_worker(a) for a in worker_args]
@@ -214,20 +209,10 @@ def cmd_classify(args):
     for option, value in (("--jobs", args.jobs), ("--min-good", args.min_good)):
         if value < 1:
             raise ValueError(f"bad {option} {value}; expected at least 1")
-    if args.weights in ("fermat", "none"):
-        policy = args.weights
-    else:
-        try:
-            policy = [int(w) for w in args.weights.split(",")]
-            if min(policy) < 1:
-                raise ValueError("weights must be positive")
-        except ValueError:
-            raise ValueError(f"bad weights {args.weights!r}") from None
     report = run_classify(
         args.expr,
         pmin,
         pmax,
-        policy=policy,
         jobs=args.jobs,
         min_good=args.min_good,
         char0=args.char0,
@@ -245,6 +230,12 @@ def cmd_verify(args):
     sig_p = reduce_mod_p(sigma, args.p)
     field = sig_p.field
     f = parse_ratfunc(args.form, field)
+    # the degree bound of a pulled-back side (forms._pullback_sides)
+    slope = max(sig_p.wronskian().degree, 2 * sig_p.den.degree)
+    degree = sig_p.degree * (f.num.degree + f.den.degree) + abs(args.weight) * slope
+    if degree > MAX_PARSE_DEGREE:
+        raise ValueError(f"bad --weight {args.weight}; its pullback may reach degree {degree}, "
+                         f"past the parser's bound of {MAX_PARSE_DEGREE}")
     omega = TupleForm(f, args.weight)
     res = invariance_check(sig_p, omega)
     if res.invariant:
@@ -266,6 +257,8 @@ def cmd_verify(args):
 
 def cmd_construct(args):
     p = args.p
+    if p is not None and args.family != "lattes" and p - 1 > MAX_PARSE_DEGREE:
+        raise ValueError(f"bad --p {p}; the weight-{p - 1} form is past the parser's bound of {MAX_PARSE_DEGREE}")
     field = rationals() if p is None else field_create(p)
     out = {"family": args.family}
     if args.family == "power":
@@ -339,7 +332,6 @@ def _build_parser():
     c = sub.add_parser("classify", help="sweep primes and classify a map over Q")
     c.add_argument("expr")
     c.add_argument("--primes", default="5..50", help="prime range MIN..MAX (default 5..50)")
-    c.add_argument("--weights", default="fermat", help="'fermat' (= p-1), 'none', or a comma list")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--min-good", type=int, default=8, help="good primes needed for flat-candidate")
     c.add_argument("--json", action="store_true")

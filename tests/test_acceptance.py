@@ -248,12 +248,12 @@ def test_criterion_10_mobius_robustness():
     battery = FLAT_BATTERY + [lattes_expr()] + NONFLAT_BATTERY
     pairs = 0
     for expr in battery:
-        base_report = run_classify(expr, 5, 50, policy="none")
+        base_report = run_classify(expr, 5, 50)
         base_sigs = {item["p"]: item["signature"] for item in base_report["primes"] if item["good"]}
         sigma = parse_ratfunc(expr, q)
         for phi_expr in mobius:
             conj = sigma.conjugate(parse_ratfunc(phi_expr, q))
-            report = run_classify(str(conj), 5, 50, policy="none")
+            report = run_classify(str(conj), 5, 50)
             assert report["verdict"]["label"] == base_report["verdict"]["label"], (expr, phi_expr)
             for item in report["primes"]:
                 if item["good"] and item["p"] in base_sigs:

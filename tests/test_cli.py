@@ -113,25 +113,33 @@ def test_classify_deterministic_and_parallel(capsys):
     assert out1 == out3
 
 
-def test_classify_weights_none(capsys):
-    code, out, _ = run(capsys, "classify", "t^2-2", "--primes", "5..30", "--weights", "none")
-    assert code == 0
-    assert "form w" not in out
+def test_classify_pool_size_is_capped(monkeypatch):
+    # the pool starts min(jobs, primes, CPUs) workers, and none for one
+    pools = []
 
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
 
-def test_classify_weights_list(capsys):
-    code, out, _ = run(capsys, "classify", "t^2", "--primes", "5..8", "--weights", "4",
-                       "--min-good", "1")
-    assert code == 0
-    assert "form w4: 1/t^4" in out
+        def __enter__(self):
+            return self
 
+        def __exit__(self, *exc):
+            return False
 
-@pytest.mark.parametrize("expr, weights", [("t^2+1", "-2"), ("t^2", "-2"), ("t^2", "0")])
-def test_classify_rejects_nonpositive_weights(capsys, expr, weights):
-    code, out, err = run(capsys, "classify", expr, "--primes", "5..30", "--weights", weights)
-    assert code == 3
-    assert out == ""
-    assert f"bad weights {weights!r}" in err
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    serial = run_classify("t^2", 5, 50)
+    assert pools == []
+    assert run_classify("t^2", 5, 50, jobs=10_000) == serial  # 14 primes, 3 CPUs
+    assert run_classify("t^2", 5, 7, jobs=10_000)["primes"] == serial["primes"][:2]
+    assert pools == [3, 2]
+    run_classify("t^2", 5, 5, jobs=4)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_classify("t^2", 5, 50, jobs=4)
+    assert pools == [3, 2]
 
 
 def test_classify_forms_imply_parabolic():
@@ -318,6 +326,32 @@ def test_verify_neither(capsys):
     assert out.strip() == "neither"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "t^2", "--p", "5", "--form", "1/t", "--weight", "100001"],
+     "bad --weight 100001; its pullback may reach degree 100003, past the parser's bound of 100000"),
+    (["verify", "t^2", "--p", "5", "--form", "1/t", "--weight", "-100001"],
+     "bad --weight -100001; its pullback may reach degree 100003, past the parser's bound of 100000"),
+    (["construct", "power", "2", "--p", "100003"],
+     "bad --p 100003; the weight-100002 form is past the parser's bound of 100000"),
+    (["construct", "cheb", "3", "--p", "100003"],
+     "bad --p 100003; the weight-100002 form is past the parser's bound of 100000"),
+])
+def test_forms_past_the_parser_bound_are_usage_errors(capsys, argv, message):
+    # rejected before any product is built: without the check these inputs
+    # build forms of degree past 10^5, and with 10^9 in place of 10^5 they
+    # would need tens of GB
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 0.05
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_verify_weight_at_the_parser_bound(capsys):
+    # t^2 mod 5: W = 2t, so the weight-w pullback of 1/t has degree 2 + w
+    code, out, _ = run(capsys, "verify", "t^2", "--p", "5", "--form", "1/t", "--weight", "99998")
+    assert (code, out) == (0, "neither\n")
+
+
 def test_verify_bad_prime(capsys):
     code, _, err = run(capsys, "verify", "t^2", "--p", "2", "--form", "1/t", "--weight", "1")
     assert code == 3
@@ -438,9 +472,3 @@ def test_classify_timings_opt_in(capsys):
     good = [line for line in out.splitlines() if line.startswith("  p=")]
     assert len(good) == 2 and all("   [{'reduce_ms': " in line for line in good)
 
-
-def test_classify_weight_list_skips_p_divisible(capsys):
-    code, out, _ = run(capsys, "classify", "t^2", "--primes", "5..6", "--weights", "5,4",
-                       "--min-good", "1")
-    assert code == 0
-    assert "form w4" in out and "form w5" not in out

@@ -440,6 +440,34 @@ def test_search_matches_uniform_bounds_oracle():
     assert (cases, found) == (622, 84)
 
 
+# at each prime of 5..47 and each weight of (1, 2, 3, 4, 6, 12) prime to p,
+# the weights that carry an invariant form, and the forms themselves at p = 5
+SEARCH_WEIGHTS = {
+    "t3": ("t^3", {5: {4, 12}, 7: {6, 12}, 13: {3, 6, 12}},
+           {4: ["1/t^4"], 12: ["1/t^12"]}),
+    "lattes": ("(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)", {5: {4, 12}, 7: {6, 12}, 13: {12}},
+               {4: ["1/(t^6 + 2*t^4 + t^2)"], 12: ["1/(t^18 + t^16 + t^8 + t^6)"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_WEIGHTS))
+def test_search_finds_forms_at_exactly_the_expected_weights(name):
+    expr, weights_at, forms_at_5 = SEARCH_WEIGHTS[name]
+    sigma = parse_ratfunc(expr, Q)
+    for p in filter(exactnum.is_prime, range(5, 48)):
+        sig = reduce_mod_p(sigma, p)
+        data = orbifold_data(postcritical_graph(sig))
+        found = {}
+        for weight in (1, 2, 3, 4, 6, 12):
+            if weight % p:
+                out = invariant_search(sig, weight, data)
+                if out:
+                    found[weight] = [ratfunc.format_ratfunc(form.func) for form in out]
+        assert set(found) == weights_at.get(p, set()), p
+        if p == 5:
+            assert found == forms_at_5
+
+
 def _orbifold_caps_search(sigma, weight, data):
     """The linear search with the orbifold's pole caps: every numerator of
     degree <= deg h - 2 weight + cap(inf) over h = prod minpoly^cap."""

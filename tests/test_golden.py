@@ -18,7 +18,6 @@ GOLDEN = Path(__file__).parent / "golden"
 LATTES = "(1/4*x^4 - 1/2*x^2 + 1/4)/(x^3 + x)"
 LATTES_X3P1 = "(1/4*t^4 - 2*t)/(t^3 + 1)"  # doubling on y^2 = x^3 + 1
 LATTES_X3MXP1 = "(1/4*t^4 + 1/2*t^2 - 2*t + 1/4)/(t^3 - t + 1)"  # on y^2 = x^3 - x + 1
-WEIGHTS = ["--weights", "1,2,3,4,6,12"]
 CONJUGATE_BY = "(2*t+1)/(t+3)"
 # {name: (table map, its conjugate by CONJUGATE_BY as format_ratfunc prints it)}
 CONJUGATE_PAIRS = {
@@ -45,8 +44,6 @@ CASES = {
     "classify-t6t5t3": ["classify", "t^6+t^5+2*t+3", "--primes", "5..50"],
     "classify-lattes-x3p1": ["classify", LATTES_X3P1, "--primes", "5..50"],
     "classify-lattes-x3mxp1": ["classify", LATTES_X3MXP1, "--primes", "5..50"],
-    "classify-t3-weights": ["classify", "t^3", "--primes", "5..50"] + WEIGHTS,
-    "classify-lattes-weights": ["classify", LATTES, "--primes", "5..50"] + WEIGHTS,
     "classify-t2-5-50": ["classify", "t^2", "--primes", "5..50"],
     "classify-inv-t2-5-50": ["classify", "1/t^2", "--primes", "5..50"],
     "classify-cheb2-5-50": ["classify", "t^2-2", "--primes", "5..50"],

@@ -1,5 +1,5 @@
-"""The README's library example runs and prints what its comments say, and
-the README names every command-line option."""
+"""The README's library example runs and prints what its comments say, the
+README names every command-line option, and every option it names exists."""
 
 import argparse
 import contextlib
@@ -24,15 +24,25 @@ def test_readme_library_example():
     assert out.getvalue().splitlines() == ["0", "(1/(t^6 + 2*t^4 + 6*t^2 + 6)) (dt)^6"]
 
 
-def test_readme_documents_every_cli_option():
-    text = README.read_text()
+def _subparsers():
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_readme_documents_every_cli_option():
+    text = README.read_text()
     missing = []
-    for name, sub in commands.choices.items():
+    for name, sub in _subparsers().items():
         for action in sub._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
             missing += [f"{name} {opt}" for opt in action.option_strings
                         if not re.search(re.escape(opt) + r"(?![\w-])", text)]
     assert missing == []
+
+
+def test_readme_names_no_missing_cli_option():
+    options = {opt for sub in _subparsers().values() for action in sub._actions for opt in action.option_strings}
+    spelled = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README.read_text()))
+    assert sorted(spelled - options) == []
