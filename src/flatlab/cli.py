@@ -264,17 +264,21 @@ def cmd_construct(args):
     if args.family == "power":
         if len(args.params) != 1:
             raise ValueError("construct power needs one argument: d")
-        out.update(_cert_json(atlas.power_map(int(args.params[0]), field), var="t", p=p))
+        d = int(args.params[0])
+        _check_pullback_degree(abs(d) * (p - 1 if p else 1), f"d {d}")
+        out.update(_cert_json(atlas.power_map(d, field), var="t", p=p))
     elif args.family == "cheb":
         if len(args.params) != 1:
             raise ValueError("construct cheb needs one argument: d (negative d means -Cheb_|d|)")
         d = int(args.params[0])
+        _check_pullback_degree(abs(d) * (p - 1 if p else 2), f"d {d}")
         out.update(_cert_json(atlas.chebyshev_poly(abs(d), -1 if d < 0 else 1, field), var="t", p=p))
     else:  # "lattes"; argparse enforces the choices
         if len(args.params) != 3:
             raise ValueError("construct lattes needs three arguments: a b m")
         a, b = Fraction(args.params[0]), Fraction(args.params[1])
         m = int(args.params[2])
+        _check_pullback_degree(m * m, f"m {m}")
         curve = atlas.EllipticCurve(field, field.elem(a), field.elem(b))
         out.update(_cert_json(atlas.lattes_map(curve, m), var="x", p=p))
         out["curve"] = f"y^2 = x^3 + {a}*x + {b}"
@@ -284,6 +288,15 @@ def cmd_construct(args):
         for key, value in out.items():
             print(f"{key}: {value}")
     return 0
+
+
+def _check_pullback_degree(degree, what):
+    """Refuse, before any product is built, a certificate whose check pulls
+    a form back to past the parser's degree bound: |d| w for power and
+    Chebyshev maps of weight w, and m^2 for Lattes maps."""
+    if degree > MAX_PARSE_DEGREE:
+        raise ValueError(f"bad {what}; the certificate's pullback may reach degree {degree}, "
+                         f"past the parser's bound of {MAX_PARSE_DEGREE}")
 
 
 def _cert_json(cert, var, p):

@@ -132,6 +132,11 @@ def _kron_unpack(x, size, count):
     return [int.from_bytes(raw[i:i + size], sys.byteorder) for i in range(0, len(raw), size)]
 
 
+def _kron_residues(x, size, count, p):
+    """The first count slots of size bytes of x, reduced mod p and trimmed."""
+    return _gf_trim([c % p for c in _kron_unpack(x, size, count)])
+
+
 def _gf_mul(a, b, p):
     """Product of two residue lists, reduced mod p, or with p = 0 of two
     int lists over Z.
@@ -158,7 +163,7 @@ def _gf_mul(a, b, p):
         if size in _SLOT_CODES:
             x = _kron_pack(a, size)
             y = x if a is b else _kron_pack(b, size)
-            return _gf_trim([c % p for c in _kron_unpack(x * y, size, la + lb - 1)])
+            return _kron_residues(x * y, size, la + lb - 1, p)
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -186,6 +191,88 @@ def _z_mul(a, b):
     y = x if a is b else pack(b)
     n = la + lb - 1
     return _gf_trim([c - half for c in _kron_unpack(x * y + int.from_bytes(offset * n, sys.byteorder), size, n)])
+
+
+# An 8-byte array slot ("Q") holds values below this: packed subtrees keep
+# their coefficients below it.
+_SLOT_LIMIT = 1 << 64
+
+
+@functools.lru_cache(maxsize=None)
+def _subtree_bound(p, d, n):
+    """B(n), the bound on every unreduced coefficient of a packed subtree of
+    n coefficients for an inner map of degree d over F_p.  A leaf is a
+    residue, B(1) = p - 1; a node split at h = n // 2 multiplies its halves
+    by the reduced powers Q^(n-h) and P^h, of d (n - h) + 1 and d h + 1
+    coefficients, and a product's coefficient is at most that length times
+    B(half) times p - 1:
+
+        B(n) = (p - 1) [B(h) (d (n - h) + 1) + B(n - h) (d h + 1)].
+
+    B grows with n (by induction, as each term does), and n <= B(n)."""
+    if n == 1:
+        return p - 1
+    h = n // 2
+    return (p - 1) * (_subtree_bound(p, d, h) * (d * (n - h) + 1) + _subtree_bound(p, d, n - h) * (d * h + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _kron_span(p, d):
+    """The most coefficients a packed subtree may hold over F_p for an
+    inner map of degree d: the largest n with B(n) below _SLOT_LIMIT, or 0
+    when even a residue is not (p - 1 >= 2^64).  B grows with n, so the
+    search doubles and then bisects; n <= B(n) bounds it."""
+    if p - 1 >= _SLOT_LIMIT:
+        return 0
+    lo, hi = 1, 2
+    while _subtree_bound(p, d, hi) < _SLOT_LIMIT:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _subtree_bound(p, d, mid) < _SLOT_LIMIT else (lo, mid)
+    return lo
+
+
+class _KronSubtrees:
+    """The packed nodes of one homogenized substitution Q^m f(P/Q) over F_p
+    (ratfunc._Substitution.hom), for P and Q given as residue lists.
+
+    A subtree of the halving split with at most span coefficients is one
+    integer (Kronecker substitution, as in _gf_mul) whose 8-byte slots hold
+    its unreduced coefficients: the bound B of _subtree_bound stays below
+    2^64 there, so no slot carries.  A node is then lo * Q^(n-h) + hi * P^h
+    on packed integers, two products and a sum, with no unpacking and no
+    reduction mod p until residues() at the subtree's root.  A residue is
+    its own packed leaf, and 0 the packed zero.  The packed powers are made
+    here from power(base, e), the residue list of the memoized P^e or Q^e
+    (base "P" or "Q"), and live for one call.
+    """
+
+    __slots__ = ("p", "span", "power", "unit_den", "packed")
+
+    def __init__(self, p, P, Q, power):
+        self.p = p
+        self.span = _kron_span(p, max(len(P), len(Q)) - 1)
+        self.power = power
+        self.unit_den = tuple(Q) == (1,)  # no product by a power of Q = 1
+        self.packed = {"P": {}, "Q": {}}
+
+    def _packed_power(self, base, e):
+        memo = self.packed[base]
+        x = memo.get(e)
+        if x is None:
+            x = memo[e] = _kron_pack(self.power(base, e), 8)
+        return x
+
+    def join(self, lo, hi, n, h):
+        """The packed node of n coefficients from its packed halves, lo of
+        the first h; a zero half costs no product and builds no power."""
+        out = lo if self.unit_den or not lo else lo * self._packed_power("Q", n - h)
+        return out + hi * self._packed_power("P", h) if hi else out
+
+    def residues(self, x):
+        """The residue list, trimmed, of the packed subtree x."""
+        return _kron_residues(x, 8, (x.bit_length() + 63) // 64, self.p)
 
 
 class _GFMatrix:
@@ -300,15 +387,17 @@ def _gf_inv_mod(a, m, p):
 
 
 def _gf_irreducible(f, p):
-    """Rabin test: x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1."""
+    """Ben-Or's test (1981) for a monic f of degree k: f is irreducible iff
+    gcd(x^(p^i) - x, f) = 1 for every i <= k/2, since a reducible f has a
+    factor of degree at most k/2, which divides x^(p^i) - x for i its
+    degree.  It stops at the first nontrivial gcd, so a candidate with a
+    root in F_p costs one p-th power and one gcd."""
     k = len(f) - 1
     if k < 1:
         return False
-    x = [0, 1]
-    if _gf_sub(_gf_pow_mod(x, p ** k, f, p), _gf_divmod(x, f, p)[1], p):
-        return False
-    for ell in _prime_factors(k):
-        g = _gf_pow_mod(x, p ** (k // ell), f, p)
+    x = g = [0, 1]
+    for _ in range(k // 2):
+        g = _gf_pow_mod(g, p, f, p)  # x^(p^i) mod f
         if len(_gf_gcd(_gf_sub(g, x, p), f, p)) != 1:
             return False
     return True

@@ -27,6 +27,7 @@ from .errors import (
 from .exactnum import (
     Field,
     FFElem,
+    _KronSubtrees,
     _from_digits,
     _gf_add,
     _gf_deriv,
@@ -212,12 +213,22 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take nonnegative int exponents")
+        if self.degree < 1:  # a constant: one power of it, with 0^0 = 1
+            c = self.coeffs[0] if self.coeffs else 0
+            return Poly(self.field, (pow(c, e, self.field.p) if self._over_prime_field else c ** e,))
         return _power(self, e, Poly.one(self.field), Poly.__mul__)
 
+    def _lc_inverse(self):
+        """1 / lc(self) as a coefficient (over F_p an int residue, so no
+        FFElem is built), or None when self is monic; self is nonzero."""
+        c = self.coeffs[-1]
+        if self._over_prime_field:
+            return None if c == 1 else pow(c, -1, self.field.p)
+        return None if c == self.field.one else self.field.one / c
+
     def monic(self):
-        if self.is_zero:
-            return self
-        return self.scale(self.field.one / self.lc())
+        inv = self._lc_inverse() if self.coeffs else None
+        return self if inv is None else self.scale(inv)
 
     def derivative(self):
         if self._over_prime_field:
@@ -409,9 +420,8 @@ class RatFunc:
         else:
             if den.degree > 0:  # a constant den has gcd 1 with num
                 num, den = _lowest_terms(num, den)
-            lc = den.lc()
-            if lc != den.field.one:
-                inv = den.field.one / lc
+            inv = den._lc_inverse()
+            if inv is not None:
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.num = num
@@ -521,9 +531,11 @@ class RatFunc:
         return RatFunc._coprime(self.num ** e, self.den ** e)
 
     def reciprocal(self):
+        """den / num: still coprime, so only made monic, with no gcd."""
         if self.is_zero:
             raise DivisionByZero("reciprocal of the zero function")
-        return RatFunc(self.den, self.num)
+        inv, num, den = self.num._lc_inverse(), self.den, self.num
+        return RatFunc._coprime(num, den) if inv is None else RatFunc._coprime(num.scale(inv), den.scale(inv))
 
     def wronskian(self):
         """The Wronskian P'Q - PQ' of self = P/Q: self' = W / Q^2."""
@@ -585,6 +597,9 @@ class _Substitution:
 
     so each of the log2 n levels is one pass of products over the whole
     result.  powers memoizes the few powers of P and Q the halves need.
+    Over F_p a subtree of at most exactnum._KronSubtrees.span coefficients
+    is one packed integer of unreduced coefficients, reduced mod p once,
+    where its value turns into a Poly (_as_poly).
     """
 
     __slots__ = ("field", "powers")
@@ -602,21 +617,34 @@ class _Substitution:
 
     def hom(self, f, m):
         """Q^m f(P/Q) for a polynomial f of degree at most m."""
-        return self._half(f.coeffs, 0, m + 1)
+        field, kron = self.field, None
+        if field.k == 1 and field.p:
+            kron = _KronSubtrees(field.p, self.powers["P"][1].coeffs, self.powers["Q"][1].coeffs,
+                                 lambda base, e: self._power(base, e).coeffs)
+        return self._as_poly(self._half(f.coeffs, 0, m + 1, kron), kron)
 
-    def _half(self, c, lo, n):
-        """Q^(n-1) g(P/Q) for g = sum of c[lo + i] t^i over i < n."""
+    def _half(self, c, lo, n, kron):
+        """Q^(n-1) g(P/Q) for g = sum of c[lo + i] t^i over i < n: a Poly,
+        or kron's packed integer when n is at most its span."""
+        packed = kron is not None and n <= kron.span
         part = c[lo:lo + n]
         if not any(part):
-            return Poly.zero(self.field)
+            return 0 if packed else Poly.zero(self.field)
         if n == 1:
-            return Poly._make(self.field, list(part))
+            return part[0] if packed else Poly._make(self.field, list(part))
         h = n // 2
-        return self._times_power(c, lo, h, "Q", n - h) + self._times_power(c, lo + h, n - h, "P", h)
+        g_lo, g_hi = self._half(c, lo, h, kron), self._half(c, lo + h, n - h, kron)
+        if packed:
+            return kron.join(g_lo, g_hi, n, h)
+        return self._times_power(g_lo, "Q", n - h, kron) + self._times_power(g_hi, "P", h, kron)
 
-    def _times_power(self, c, lo, n, base, e):
-        """_half(c, lo, n) times base^e, building no power when it is zero."""
-        g = self._half(c, lo, n)
+    def _as_poly(self, g, kron):
+        """A value of _half as a Poly: a packed one is reduced mod p."""
+        return g if isinstance(g, Poly) else Poly._make(self.field, kron.residues(g))
+
+    def _times_power(self, g, base, e, kron):
+        """The value g of _half times base^e, building no power when g is zero."""
+        g = self._as_poly(g, kron)
         return g if g.is_zero else _times(g, self._power(base, e))
 
 

@@ -346,6 +346,30 @@ def test_forms_past_the_parser_bound_are_usage_errors(capsys, argv, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "power", "2000", "--p", "101"],
+     "bad d 2000; the certificate's pullback may reach degree 200000, past the parser's bound of 100000"),
+    (["construct", "cheb", "-50001"],
+     "bad d -50001; the certificate's pullback may reach degree 100002, past the parser's bound of 100000"),
+    (["construct", "lattes", "1", "0", "400"],
+     "bad m 400; the certificate's pullback may reach degree 160000, past the parser's bound of 100000"),
+])
+def test_construct_past_the_parser_bound_is_a_usage_error(capsys, argv, message):
+    # the degree comes from the parameters alone: |d| w for power and
+    # Chebyshev maps (w = p - 1, or 1 and 2 over Q) and m^2 for Lattes maps
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 0.05
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_construct_power_at_the_parser_bound(capsys):
+    # |d| (p - 1) = 1000 * 100 is the bound itself
+    code, out, _ = run(capsys, "construct", "power", "1000", "--p", "101")
+    assert code == 0
+    assert "sigma: t^1000" in out.splitlines()
+
+
 def test_verify_weight_at_the_parser_bound(capsys):
     # t^2 mod 5: W = 2t, so the weight-w pullback of 1/t has degree 2 + w
     code, out, _ = run(capsys, "verify", "t^2", "--p", "5", "--form", "1/t", "--weight", "99998")

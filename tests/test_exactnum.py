@@ -86,6 +86,15 @@ def test_modulus_search_skips_multiples_of_x(monkeypatch):
     assert all(f[0] for f in calls)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_irreducibility_test_matches_gauss_count(p):
+    # Gauss: (1/k) sum over d | k of mu(d) p^(k/d) monic irreducibles of degree k
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for k in range(1, 5):
+        want = sum(mu * p ** (k // d) for d, mu in mobius.items() if k % d == 0) // k
+        assert sum(_gf_irreducible(exactnum._to_digits(i, p, k) + [1], p) for i in range(p ** k)) == want
+
+
 def test_prime_field_arithmetic():
     F5 = field_create(5)
     assert F5.elem(1) / F5.elem(2) == F5.elem(3)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -629,10 +630,11 @@ def test_prime_field_compose_matches_sympy(p):
 
 
 def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
-    # one F_p product loop: prime-field Poly products, division and
-    # composition reach exactnum._gf_mul / _gf_divmod on whole coefficient
-    # lists; over F_{p^k} these only see FFElem's length-k residue vectors,
-    # and over Q only poly_gcd's modular gcd calls them, mod primes near 2^61
+    # one F_p product loop: prime-field Poly products and division reach
+    # exactnum._gf_mul / _gf_divmod on whole coefficient lists, and
+    # composition exactnum's packed subtrees; over F_{p^k} these only see
+    # FFElem's length-k residue vectors, and over Q only poly_gcd's modular
+    # gcd calls them, mod primes near 2^61
     from flatlab import exactnum, forms, ratfunc
 
     calls = []
@@ -662,7 +664,12 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     sigma = parse_ratfunc("(t^3+2)/(t^2+5)", F97)
     assert longest(lambda: a * b)["_gf_mul"] == 13
     assert longest(lambda: divmod(a, b))["_gf_divmod"] == 13
-    assert longest(lambda: RatFunc(a, b).compose(sigma))["_gf_mul"] >= 13
+    with monkeypatch.context() as patch:
+        seen, join, init = [], exactnum._KronSubtrees.join, exactnum.FFElem.__init__
+        patch.setattr(exactnum._KronSubtrees, "join", lambda self, *args: seen.append("join") or join(self, *args))
+        patch.setattr(exactnum.FFElem, "__init__", lambda self, *args: seen.append("FFElem") or init(self, *args))
+        RatFunc(a, b).compose(sigma)
+    assert "join" in seen and "FFElem" not in seen
 
     F25 = field_create(5, 2)
     c = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(12)] + [1])
@@ -725,6 +732,91 @@ def test_substitution_matches_sum_of_powers(field, inner):
             oracle = sum((terms[i].scale(f.coeff(i)) for i in range(deg + 1)), Poly.zero(field))
             assert h.hom(f, m) == oracle
         assert h.hom(Poly.zero(field), m).is_zero
+
+
+@pytest.mark.parametrize("p, inner, degrees", [
+    (2 ** 31 - 1, "(t^2+3)/(t+5)", range(0, 12)),  # span 1: every node is a list
+    (47, "(t^2+3)/(t+5)", range(44, 56)),  # span 49: roots on both sides of it
+    (47, "t^2+t+1", range(44, 56)),
+    (5, "(2*t^4+1)/(t^3+t)", range(158, 165)),  # span 162
+])
+def test_substitution_matches_sum_of_powers_across_the_slot_cut(p, inner, degrees):
+    # hom(f, m) = sum f_i P^i Q^(m - i) where a root of n = m + 1 coefficients
+    # is packed, is a list over packed halves, or (span 1) all lists
+    from flatlab.exactnum import _kron_span
+
+    field = field_create(p)
+    sigma = parse_ratfunc(inner, field)
+    P, Qd = sigma.num, sigma.den
+    span = _kron_span(p, sigma.degree)
+    assert min(degrees) < span <= max(degrees) or span == 1
+    rng = random.Random(f"{p}{inner}")
+    h = _Substitution(sigma)
+    for m in degrees:
+        f = Poly(field, [rng.choice((0, rng.randrange(p), p - 1)) for _ in range(m)] + [p - 1])
+        oracle = sum((P ** i * Qd ** (m - i)).scale(f.coeffs[i]) for i in range(m + 1))
+        assert h.hom(f, m) == oracle
+
+
+def _unreduced_nodes(c, P, Q, p):
+    """The split of _Substitution with exact int-list products and reduced
+    powers, no reduction of a node: (n, node) for every node of n >= 2
+    coefficients whose slice is nonzero, and the root."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def power(base, e):
+        return [x % p for x in mul(power(base, e // 2), power(base, e - e // 2))] if e > 1 else base
+
+    nodes = []
+
+    def half(lo, n):
+        part = c[lo:lo + n]
+        if not any(part):
+            return [0]
+        if n == 1:
+            return list(part)
+        h = n // 2
+        a, b = mul(half(lo, h), power(Q, n - h)), mul(half(lo + h, n - h), power(P, h))
+        node = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        nodes.append((n, node))
+        return node
+
+    half(0, len(c))
+    return nodes
+
+
+def test_packed_subtrees_stay_below_their_slot_bound(monkeypatch):
+    # exact ints: every node coefficient is at most the code's B(n), B(n) is
+    # below 2^64 exactly up to the span, and each packed node the code makes
+    # is the exact node in 8-byte slots, so no slot carried
+    from flatlab import exactnum
+    from flatlab.exactnum import _kron_span, _subtree_bound
+
+    rng = random.Random(809)
+    joins, join = [], exactnum._KronSubtrees.join
+    monkeypatch.setattr(exactnum._KronSubtrees, "join",
+                        lambda self, *args: joins.append((args[2], join(self, *args))) or joins[-1][1])
+    for _ in range(12):
+        p, d, n = rng.choice((3, 5, 47, 97, 211, 809)), rng.randint(1, 4), rng.randint(2, 120)
+        field = field_create(p)
+        P = Poly(field, [rng.choice((p - 1, rng.randrange(p))) for _ in range(d)] + [rng.randrange(1, p)])
+        Qd = Poly(field, [rng.randrange(p) for _ in range(rng.randint(0, d))] + [1])
+        c = [rng.choice((0, p - 1, p - 1, rng.randrange(p))) for _ in range(n)]
+        span = _kron_span(p, d)
+        for size in range(1, min(n, span) + 2):
+            assert (_subtree_bound(p, d, size) < 2 ** 64) == (size <= span)
+        nodes = _unreduced_nodes(c, P.coeffs, Qd.coeffs, p)
+        assert all(0 <= x <= _subtree_bound(p, d, size) for size, node in nodes for x in node)
+        joins.clear()
+        _Substitution(RatFunc._coprime(P, Qd)).hom(Poly(field, c), n - 1)  # degree d, even if not coprime
+        packed = [(size, sum(x << 64 * i for i, x in enumerate(node))) for size, node in nodes if size <= span]
+        assert sorted(joins) == sorted(packed)
+    assert [_kron_span(47, d) for d in (1, 2, 4)] == [65, 49, 34]
 
 
 def test_substitution_memoizes_logarithmically_many_powers():
