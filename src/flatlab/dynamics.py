@@ -56,8 +56,8 @@ from .exactnum import (
     field_create,
     mat_kernel,
 )
-from .ratfunc import (Poly, RatFunc, _primitive_integer_pair, poly_factor, poly_gcd, poly_roots,
-                      rational_roots, root_multiplicity)
+from .ratfunc import (Poly, RatFunc, _linear_roots, _primitive_integer_pair, poly_factor, poly_gcd, poly_roots,
+                      root_multiplicity)
 
 
 def point_key(pt):
@@ -150,8 +150,9 @@ def critical_locus(sigma: RatFunc):
     """All critical points of sigma over Q, or over F_p inside one extension.
 
     Returns (field, [CriticalDatum...]) sorted by point.  The base-field
-    roots of the Wronskian W come first; when they account for deg W, field
-    is Q or F_p.  Otherwise Q raises IrrationalCriticalPoints, and each
+    roots of the Wronskian W come first (over F_p, the linear factors of
+    the one poly_factor(W)); when they account for deg W, field is Q or
+    F_p.  Otherwise Q raises IrrationalCriticalPoints, and each
     factor g^m of W irreducible over F_p of degree e > 1 has its e roots in
     F_{p^k}, k the lcm of those degrees, each a root of W of multiplicity
     m: _extension_roots finds one by Cantor-Zassenhaus on int residues and
@@ -170,12 +171,16 @@ def critical_locus(sigma: RatFunc):
     wron = sigma.wronskian()
     if wron.is_zero:
         raise Inseparable("identically zero derivative")  # unreachable for p > d
-    roots = rational_roots(wron) if field.is_rationals else poly_roots(wron)
-    if sum(m for _, m in roots) == wron.degree:
-        return field, _critical_data(d, wron, roots)
     if field.is_rationals:
-        raise IrrationalCriticalPoints("critical points are not all rational")
-    rest = [(g, m) for g, m in poly_factor(wron) if g.degree > 1]
+        roots = poly_roots(wron)
+        if sum(m for _, m in roots) < wron.degree:
+            raise IrrationalCriticalPoints("critical points are not all rational")
+        return field, _critical_data(d, wron, roots)
+    factors = poly_factor(wron)
+    roots = _linear_roots(factors)
+    rest = [(g, m) for g, m in factors if g.degree > 1]
+    if not rest:
+        return field, _critical_data(d, wron, roots)
     ext = field_create(field.p, math.lcm(*(g.degree for g, _ in rest)))
     roots = [(ext.lift(a), m) for a, m in roots]
     for g, m in rest:

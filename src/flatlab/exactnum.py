@@ -47,20 +47,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Dense polynomials over F_p as plain int lists, constant term first,
 # no trailing zeros ([] is the zero polynomial), every coefficient in

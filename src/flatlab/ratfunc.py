@@ -36,7 +36,6 @@ from .exactnum import (
     _gf_mul,
     _gf_trim,
     _power,
-    _prime_factors,
     field_create,
     is_prime,
 )
@@ -191,8 +190,6 @@ class Poly:
             return Poly._make(field, quo), Poly._make(field, rem)
         rem = list(self.coeffs)
         db = o.degree
-        if self.degree < db:
-            return Poly.zero(field), self
         inv = field.one / o.lc()
         quo = [field.zero] * (self.degree - db + 1)
         for i in range(self.degree - db, -1, -1):
@@ -1023,50 +1020,51 @@ def poly_factor(f: Poly):
 
 
 def poly_is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over the coefficient field F_q."""
+    """Ben-Or's test over the coefficient field F_q: f of degree n is
+    irreducible iff gcd(x^(q^i) - x, f) = 1 for every i <= n/2, the test
+    exactnum._gf_irreducible runs on int lists for the modulus search."""
     if f.field.is_rationals:
         raise FieldMismatch("irreducibility test is over finite fields")
     n = f.degree
     if n < 1:
         return False
-    q = f.field.order
-    x = Poly.gen(f.field)
-    if not (_poly_powmod(x, q ** n, f) - x % f).is_zero:
-        return False
-    for ell in _prime_factors(n):
-        g = _poly_powmod(x, q ** (n // ell), f) - x % f
-        if poly_gcd(f, g).degree != 0:
+    x = g = Poly.gen(f.field)
+    for _ in range(n // 2):
+        g = _poly_powmod(g, f.field.order, f)  # x^(q^i) mod f
+        if poly_gcd(f, g - x).degree != 0:
             return False
     return True
 
 
-def poly_roots(f: Poly):
-    """Roots of f in its own (finite) coefficient field, with multiplicity.
-
-    Read off the linear factors of poly_factor(f).  Returns [(root,
-    multiplicity), ...] sorted by the root's coefficient tuple.
-    """
-    roots = [(-g.coeff(0), m) for g, m in poly_factor(f) if g.degree == 1]
+def _linear_roots(factors):
+    """The roots with multiplicity that a factorization over F_q (as
+    poly_factor returns it) holds in its linear factors, sorted by the
+    root's coefficient tuple."""
+    roots = [(-g.coeff(0), m) for g, m in factors if g.degree == 1]
     roots.sort(key=lambda item: item[0].coeffs)
     return roots
 
 
-def rational_roots(f: Poly):
-    """Rational roots with multiplicity of a nonzero polynomial over Q.
+def poly_roots(f: Poly):
+    """Roots with multiplicity of a nonzero f in its own coefficient field,
+    Q or F_q: [(root, multiplicity), ...] sorted by root, over F_q by the
+    root's coefficient tuple.
 
-    Past the root 0, the roots are those of the squarefree part s, taken as
-    a primitive integer polynomial (content 1: 2 + 4t is taken as 1 + 2t).  At a prime p not dividing its leading
-    coefficient s_n where every root of s mod p is simple, each rational
-    root u/w (u | s_0, w | s_n) is the Hensel lift of its residue, and
-    s_n u/w is an integer of absolute value at most |s_0 s_n|; so lifting
-    past 2 |s_0 s_n| recovers it exactly.  Each candidate is confirmed with
+    Over F_q they are read off the linear factors of poly_factor(f).  Over
+    Q, past the root 0, the roots are those of the squarefree part s, taken
+    as a primitive integer polynomial (content 1: 2 + 4t is taken as
+    1 + 2t).  At a prime p not dividing its leading coefficient s_n where
+    every root of s mod p is simple, each rational root u/w (u | s_0,
+    w | s_n) is the Hensel lift of its residue, and s_n u/w is an integer
+    of absolute value at most |s_0 s_n|; so lifting past 2 |s_0 s_n|
+    recovers it exactly.  Each candidate is confirmed with
     root_multiplicity.  The cost is polynomial in the coefficients' bit
     length, since fewer than log2 |s_n disc(s)| primes are skipped.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if not f.field.is_rationals:
-        raise FieldMismatch("rational_roots works over Q")
+        return _linear_roots(poly_factor(f))
     out = []
     v = root_multiplicity(f, 0)
     if v:

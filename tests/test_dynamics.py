@@ -169,6 +169,28 @@ def test_critical_locus_extension_field():
         assert sum(c.e - 1 for c in data) == 2 * sigma.degree - 2, expr
 
 
+def test_critical_locus_factors_the_wronskian_once(monkeypatch):
+    # over F_p one poly_factor(W) gives both the roots in F_p (its linear
+    # factors) and the factors of degree > 1; over Q, poly_roots(W) alone.
+    # Both bindings count: the one critical_locus calls and the one
+    # poly_roots calls inside ratfunc
+    from flatlab import dynamics
+
+    calls = []
+
+    def counted(key, fn):
+        return lambda f: calls.append(key) or fn(f)
+
+    for mod in (ratfunc, dynamics):
+        for name in ("poly_factor", "poly_roots"):
+            monkeypatch.setattr(mod, name, counted((mod.__name__, name), getattr(mod, name)))
+    critical_locus(parse_ratfunc("(t^4+t+1)/(t^2+3)", field_create(47)))  # W irreducible of degree 5
+    assert [name for _, name in calls].count("poly_factor") == 1
+    calls.clear()
+    critical_locus(parse_ratfunc("t^3-3*t", rationals()))
+    assert [name for mod, name in calls if mod == "flatlab.dynamics"] == ["poly_roots"]
+
+
 def test_extension_roots_against_full_split():
     # one root by Cantor-Zassenhaus in F_p[x, y]/(m, g) and its Frobenius
     # conjugates against poly_roots's full split of g over F_{p^k}

@@ -25,7 +25,7 @@ from flatlab import (
 import flatlab.ratfunc as ratfunc
 from flatlab.errors import BadPrime, DivisionByZero, FieldMismatch, NotMobius, ParseError, ZeroPolynomial
 from flatlab.ratfunc import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, _Substitution, _primitive_integer_pair, poly_roots,
-                             rational_roots, root_multiplicity)
+                             root_multiplicity)
 
 Q = rationals()
 F5 = field_create(5)
@@ -674,12 +674,15 @@ def test_prime_field_arithmetic_goes_through_gf_layer(monkeypatch):
     F25 = field_create(5, 2)
     c = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(12)] + [1])
     d = Poly(F25, [F25.elem_from_index(rng.randrange(25)) for _ in range(7)] + [1])
-    for run in (lambda: c * d, lambda: divmod(c, d), lambda: RatFunc(c, d).compose(RatFunc(d, c))):
+    for run in (lambda: c * d, lambda: divmod(c, d), lambda: divmod(d, c),
+                lambda: RatFunc(c, d).compose(RatFunc(d, c))):
         assert max(longest(run).values()) <= 2 * F25.k
+    assert divmod(d, c) == (Poly.zero(F25), d)
 
     e = parse_ratfunc("(t^5+1/2*t)/(t^3-7)", Q)
-    for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den)):
+    for run in (lambda: e.num * e.den, lambda: divmod(e.num, e.den), lambda: divmod(e.den, e.num)):
         assert longest(run) == dict.fromkeys(names, 0)
+    assert divmod(e.den, e.num) == (Poly.zero(Q), e.den)
     longest(lambda: e.compose(e))
     assert calls and all(p > 2 ** 60 for *_, p in calls)
 
@@ -956,6 +959,27 @@ def test_factor_inseparable_power():
     assert prod == f
 
 
+@pytest.mark.parametrize("field_args, top", [((5, 1), 4), ((7, 1), 3), ((2, 2), 3), ((3, 2), 3)])
+def test_poly_is_irreducible_matches_gauss_count(field_args, top):
+    # Gauss: (1/n) sum over d | n of mu(d) q^(n/d) monic irreducibles of
+    # degree n; over F_5, Ben-Or's test on Poly agrees with the modulus
+    # search's on int lists at every monic f
+    from flatlab.exactnum import _gf_irreducible
+
+    field = field_create(*field_args)
+    q = field.order
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for n in range(1, top + 1):
+        want = sum(mu * q ** (n // d) for d, mu in mobius.items() if n % d == 0) // n
+        got = 0
+        for lower in itertools.product(field.elements(), repeat=n):
+            f = Poly(field, [*lower, field.one])
+            irreducible = poly_is_irreducible(f)
+            assert field.order != 5 or irreducible == _gf_irreducible(list(f.coeffs), 5), f
+            got += irreducible
+        assert got == want, (field, n)
+
+
 def _random_irreducible(rng, field, degree):
     """A random monic irreducible of degree 1..3: for these degrees,
     irreducible means no root in the field (checked by enumeration)."""
@@ -1032,8 +1056,7 @@ def test_poly_roots_against_enumeration(field_args):
 def test_poly_roots_rejects_zero_and_q():
     with pytest.raises(ZeroPolynomial):
         poly_roots(Poly.zero(F5))
-    with pytest.raises(FieldMismatch):
-        poly_roots(parse_ratfunc("t^2 - 1", Q).num)
+    assert poly_roots(parse_ratfunc("t^2 - 1", Q).num) == [(-1, 1), (1, 1)]
 
 
 # ---------------------------------------------------------------- conjugation
@@ -1090,4 +1113,4 @@ def test_rational_roots_match_sympy():
         f = Poly(Q, [int(c) for c in reversed(sp.all_coeffs())])
         _, factors = sp.factor_list()
         want = sorted((Fraction(-int(g.nth(0)), int(g.nth(1))), m) for g, m in factors if g.degree() == 1)
-        assert rational_roots(f) == want, expr
+        assert poly_roots(f) == want, expr
